@@ -42,9 +42,7 @@ from .numeric import (
 from .smatrix import (
     HarmonicCoefficients,
     IdentityReport,
-    SMatrixEigenvalue,
     apply_s0,
-    compute_eigenvalue,
     eigenvalue_via_multiplier,
     eigenvalue_via_phase,
     harmonic_dim,
@@ -67,7 +65,6 @@ __all__ = [
     "PhaseAmplitude",
     "PotentialParams",
     "RadialSolutionSample",
-    "SMatrixEigenvalue",
     "TailFit",
     "TailFitError",
     "apply_s0",
@@ -79,7 +76,6 @@ __all__ = [
     "closed_form_amplitude_variant",
     "closed_form_f",
     "closed_form_phase",
-    "compute_eigenvalue",
     "eigenvalue_via_multiplier",
     "eigenvalue_via_phase",
     "extract_phase_amplitude",

@@ -244,8 +244,14 @@ DOPRI_NONFINITE = 2
 
 
 @_jit
-def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol, atol):
-    """Returns (f_out, fp_out, status, n_steps, n_rejected, max_err, r_fail)."""
+def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
+    """Returns (f_out, fp_out, status, n_steps, n_rejected, max_err, r_fail).
+
+    The error scale is purely relative, rtol times the local oscillation
+    envelope. There is no absolute term: f grows from r0^(nu+1/2) at the
+    origin, and any fixed floor would swamp those tiny values and silently
+    disable error control there.
+    """
     n_out = r_out.shape[0]
     out_f = np.empty(n_out)
     out_fp = np.empty(n_out)
@@ -347,8 +353,8 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol, atol):
             continue
 
         w = max(math.sqrt(abs((a2 / rr) / rr - alpha * rr ** (-mu))), 1e-300)
-        scf = rtol * (abs(nf) + abs(np_) / w) + atol
-        scp = rtol * (abs(np_) + abs(nf) * w) + atol
+        scf = rtol * (abs(nf) + abs(np_) / w)
+        scp = rtol * (abs(np_) + abs(nf) * w)
         err = math.sqrt(0.5 * ((ef / scf) ** 2 + (ep / scp) ** 2))
 
         if err <= 1.0:

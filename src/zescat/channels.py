@@ -15,7 +15,7 @@ all downstream modules consume these constants through :class:`Channel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "ParameterError",
@@ -74,10 +74,16 @@ class PotentialParams:
 
 @dataclass(frozen=True)
 class Channel:
-    """One angular-momentum sector and its derived constants.
+    """One angular-momentum sector of (d, mu, alpha) and its derived constants.
+
+    Only (d, mu, alpha, l) are given; the rest is computed here and nowhere
+    else. No validation happens at this level (:func:`make_channel` checks
+    its inputs), so a hand-built channel may, e.g., set alpha = 0.
 
     Attributes
     ----------
+    d, mu, alpha : int, float, float
+        The potential parameters, carried exactly as given.
     l : int
         Spherical-harmonic order, >= 0.
     nu : float
@@ -90,26 +96,29 @@ class Channel:
         Exponent of the oscillation variable r^sigma, sigma = (2 - mu)/2.
     """
 
+    d: int
+    mu: float
+    alpha: float
     l: int
-    nu: float
-    nu_tilde: float
-    b: float
-    sigma: float
+    nu: float = field(init=False)
+    nu_tilde: float = field(init=False)
+    b: float = field(init=False)
+    sigma: float = field(init=False)
+
+    def __post_init__(self):
+        nu = self.l + (self.d - 2) / 2.0
+        two_minus_mu = 2.0 - self.mu
+        object.__setattr__(self, "nu", nu)
+        object.__setattr__(self, "nu_tilde", 2.0 * nu / two_minus_mu)
+        object.__setattr__(self, "b", 2.0 * math.sqrt(self.alpha) / two_minus_mu)
+        object.__setattr__(self, "sigma", two_minus_mu / 2.0)
 
 
 def make_channel(params: PotentialParams, l: int) -> Channel:
     """Build the :class:`Channel` for angular momentum l under ``params``."""
     if not isinstance(l, int) or isinstance(l, bool) or l < 0:
         raise ParameterError(f"l must be a nonnegative integer, got {l!r}")
-    nu = l + (params.d - 2) / 2.0
-    two_minus_mu = 2.0 - params.mu
-    return Channel(
-        l=l,
-        nu=nu,
-        nu_tilde=2.0 * nu / two_minus_mu,
-        b=2.0 * math.sqrt(params.alpha) / two_minus_mu,
-        sigma=two_minus_mu / 2.0,
-    )
+    return Channel(d=params.d, mu=params.mu, alpha=params.alpha, l=l)
 
 
 def laplace_beltrami_eigenvalue(d: int, l: int) -> float:

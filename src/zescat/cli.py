@@ -12,10 +12,12 @@ eigenvalues
     S(0) eigenvalues per channel via the spectral multiplier.
 
 Exit codes: 0 all checks passed, 1 a tolerance was exceeded, 2 invalid
-input. Machine output is deterministic: identical configuration produces
-byte-identical bytes, numbers are printed with shortest round-trip
-precision, and angles are in radians (``--degrees`` affects the human
-format only).
+input, 3 the numeric route could not produce a result for a valid channel
+(one line on stderr names the channel and the reason; no report is
+written). Machine output is deterministic: identical configuration
+produces byte-identical bytes, numbers are printed with shortest
+round-trip precision, and angles are in radians (``--degrees`` affects the
+human format only).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = ["main", "RunConfig"]
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_INVALID = 2
+EXIT_NUMERIC = 3
 
 # Built-in verification grids. The identity part (route agreement) runs on
 # a wider envelope than the numeric sweep. A --config file can override any
@@ -50,6 +53,10 @@ DEFAULT_GRID = {
 TOL_ROUTE = 1e-12
 TOL_PHASE = 1e-4
 TOL_AMP = 1e-4
+
+
+class NumericRouteError(Exception):
+    """The numeric route failed on a valid channel (exit code 3)."""
 
 
 @dataclass
@@ -98,6 +105,10 @@ def _load_config(path: str) -> dict:
                 overrides[key] = int(value)
             elif key in float_keys:
                 overrides[key] = float(value)
+                if key == "rtol" and not (math.isfinite(overrides[key])
+                                          and overrides[key] > 0.0):
+                    raise ValueError(f"{path}:{lineno}: rtol must be finite "
+                                     f"and > 0, got {value}")
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     return overrides
@@ -181,6 +192,40 @@ def _render(cfg: RunConfig, title: str, config: dict, columns, rows,
 # subcommands
 # ---------------------------------------------------------------------
 
+def _closed_columns(ch) -> dict:
+    """Closed-form D and C of ``ch``; C is None once it leaves double range."""
+    try:
+        c_closed = closedform.closed_form_amplitude(ch)
+    except OverflowError:
+        c_closed = None
+    return {"D_closed": closedform.closed_form_phase(ch), "C_closed": c_closed}
+
+
+def _numeric_columns(ch, rtol: float | None, closed: dict) -> dict:
+    """Numeric-route (D, C) of ``ch`` and its deviations from ``closed``.
+
+    rel_dC is None where the closed-form C is. Raises NumericRouteError
+    when the numeric route cannot produce a result for the channel.
+    """
+    try:
+        _, fit = numeric.solve_channel(ch, rtol=rtol)
+    except (numeric.IntegrationError, numeric.TailFitError, ValueError,
+            OverflowError) as exc:
+        raise NumericRouteError(
+            f"d = {ch.d}, mu = {ch.mu!r}, alpha = {ch.alpha!r}, l = {ch.l}: {exc}"
+        ) from None
+    pa = fit.phase_amplitude
+    c_closed = closed["C_closed"]
+    return {
+        "D_numeric": pa.phase_D,
+        "C_numeric": pa.amplitude_C,
+        "abs_dD": abs(numeric.circular_difference(pa.phase_D, closed["D_closed"])),
+        "rel_dC": (abs(pa.amplitude_C / c_closed - 1.0)
+                   if c_closed is not None else None),
+        "fit_residual_rms": fit.residual_rms,
+    }
+
+
 def _phase_table_rows(cfg: RunConfig):
     params = cfg.params
     rows = []
@@ -188,32 +233,12 @@ def _phase_table_rows(cfg: RunConfig):
     worst_amp = 0.0
     for l in range(cfg.l_max + 1):
         ch = make_channel(params, l)
-        row = {
-            "l": l,
-            "nu": ch.nu,
-            "nu_tilde": ch.nu_tilde,
-            "D_closed": closedform.closed_form_phase(ch),
-        }
-        try:
-            row["C_closed"] = closedform.closed_form_amplitude(ch)
-        except OverflowError:
-            row["C_closed"] = None
+        row = {"l": l, "nu": ch.nu, "nu_tilde": ch.nu_tilde, **_closed_columns(ch)}
         if cfg.numeric:
-            _, fit = numeric.solve_channel(ch, rtol=cfg.rtol)
-            pa = fit.phase_amplitude
-            d_dev = abs(numeric.circular_difference(pa.phase_D, row["D_closed"]))
-            c_dev = (abs(pa.amplitude_C / row["C_closed"] - 1.0)
-                     if row["C_closed"] else None)
-            row.update({
-                "D_numeric": pa.phase_D,
-                "C_numeric": pa.amplitude_C,
-                "abs_dD": d_dev,
-                "rel_dC": c_dev,
-                "fit_residual_rms": fit.residual_rms,
-            })
-            worst_phase = max(worst_phase, d_dev)
-            if c_dev is not None:
-                worst_amp = max(worst_amp, c_dev)
+            row.update(_numeric_columns(ch, cfg.rtol, row))
+            worst_phase = max(worst_phase, row["abs_dD"])
+            if row["rel_dC"] is not None:
+                worst_amp = max(worst_amp, row["rel_dC"])
         rows.append(row)
     return rows, worst_phase, worst_amp
 
@@ -270,8 +295,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             params = PotentialParams(d=d, mu=mu, alpha=1.0)
             report = smatrix.verify_theorem_identity(params,
                                                      grid["lmax_identity"])
-            for l, diff in enumerate(report.differences):
-                ev = smatrix.eigenvalue_via_multiplier(params, l)
+            for l, (diff, ev) in enumerate(zip(report.differences,
+                                               report.eigenvalues)):
                 identity_rows.append({
                     "check": "identity", "d": d, "mu": mu,
                     "alpha": None, "l": l,
@@ -291,27 +316,22 @@ def cmd_verify(cfg: RunConfig) -> int:
                     params = PotentialParams(d=d, mu=mu, alpha=alpha)
                     for l in range(grid["lmax"] + 1):
                         ch = make_channel(params, l)
-                        _, fit = numeric.solve_channel(ch, rtol=cfg.rtol)
-                        pa = fit.phase_amplitude
-                        d_closed = closedform.closed_form_phase(ch)
-                        c_closed = closedform.closed_form_amplitude(ch)
-                        d_dev = abs(numeric.circular_difference(
-                            pa.phase_D, d_closed))
-                        c_dev = abs(pa.amplitude_C / c_closed - 1.0)
+                        num = _numeric_columns(ch, cfg.rtol, _closed_columns(ch))
                         try:
                             variant = closedform.closed_form_amplitude_variant(ch)
-                            variant_ratio = variant / pa.amplitude_C
+                            variant_ratio = variant / num["C_numeric"]
                         except (ValueError, OverflowError):
                             variant_ratio = None
                         numeric_rows.append({
                             "check": "sweep", "d": d, "mu": mu,
                             "alpha": alpha, "l": l,
-                            "abs_dD": d_dev, "rel_dC": c_dev,
-                            "fit_residual_rms": fit.residual_rms,
+                            "abs_dD": num["abs_dD"], "rel_dC": num["rel_dC"],
+                            "fit_residual_rms": num["fit_residual_rms"],
                             "variant_amplitude_ratio": variant_ratio,
                         })
-                        max_phase = max(max_phase, d_dev)
-                        max_amp = max(max_amp, c_dev)
+                        max_phase = max(max_phase, num["abs_dD"])
+                        if num["rel_dC"] is not None:
+                            max_amp = max(max_amp, num["rel_dC"])
                         if variant_ratio is not None and ch.nu != mu:
                             max_variant = max(max_variant,
                                               abs(variant_ratio - 1.0))
@@ -454,6 +474,9 @@ def main(argv=None) -> int:
         if args.command == "eigenvalues":
             return cmd_eigenvalues(cfg)
         return cmd_verify(cfg)
+    except NumericRouteError as exc:
+        print(f"zescat: numeric route failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except (ParameterError, ValueError) as exc:
         print(f"zescat: error: {exc}", file=sys.stderr)
         return EXIT_INVALID

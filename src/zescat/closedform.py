@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import gamma_kernel, lgamma_kernel
 from .channels import Channel
-from .specfn import bessel_j
+from .specfn import _GAMMA_OVERFLOW_X, bessel_j
 
 __all__ = [
     "PhaseAmplitude",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 _LOG_MAX_DOUBLE = 709.0
-_GAMMA_OVERFLOW_X = 171.624
 
 
 def _wrap_half_turns(x: float) -> float:
@@ -72,22 +71,18 @@ class PhaseAmplitude:
             raise ValueError(f"phase must lie in (-pi, pi], got {self.phase_D!r}")
 
 
-def _mu_of(ch: Channel) -> float:
-    return 2.0 - 2.0 * ch.sigma
-
-
-def _sqrt_alpha_of(ch: Channel) -> float:
-    return ch.b * ch.sigma
-
-
-def _prefactor(ch: Channel, extra_half_power: bool) -> float:
+def _prefactor(ch: Channel, extra_half_power: bool,
+               base: float | None = None) -> float:
     """Gamma(nt+1) * base^p with base = (2-mu)/sqrt(alpha), p = nt (+ 1/2).
 
-    Evaluated directly while Gamma stays in range, through logs otherwise.
-    Raises OverflowError once the value itself leaves double range.
+    ``base`` overrides the power base (the diagnostic variant amplitude
+    uses another). Evaluated directly while Gamma stays in range, through
+    logs otherwise. Raises OverflowError once the value itself leaves
+    double range.
     """
     nt = ch.nu_tilde
-    base = 2.0 * ch.sigma / _sqrt_alpha_of(ch)
+    if base is None:
+        base = (2.0 - ch.mu) / math.sqrt(ch.alpha)
     p = nt + 0.5 if extra_half_power else nt
     log_pref = lgamma_kernel(nt + 1.0) + (p * math.log(base) if p > 0.0 else 0.0)
     if log_pref > _LOG_MAX_DOUBLE:
@@ -143,20 +138,13 @@ def closed_form_amplitude_variant(ch: Channel) -> float:
     of :func:`closed_form_f` whenever nu != mu (the verify report exposes
     the ratio to the fitted amplitude), and it is undefined for nu >= 2.
     """
-    nt = ch.nu_tilde
-    base = (2.0 - ch.nu) / _sqrt_alpha_of(ch)
+    base = (2.0 - ch.nu) / math.sqrt(ch.alpha)
     if base <= 0.0:
         raise ValueError(
             f"variant amplitude undefined for nu = {ch.nu} >= 2 "
             "(negative power base)"
         )
-    log_c = (lgamma_kernel(nt + 1.0) + (nt + 0.5) * math.log(base)
-             - 0.5 * math.log(math.pi))
-    if log_c > _LOG_MAX_DOUBLE:
-        raise OverflowError("variant amplitude overflows double precision")
-    if nt + 1.0 <= _GAMMA_OVERFLOW_X:
-        return gamma_kernel(nt + 1.0) * base ** (nt + 0.5) / math.sqrt(math.pi)
-    return math.exp(log_c)
+    return _prefactor(ch, extra_half_power=True, base=base) / math.sqrt(math.pi)
 
 
 def closed_form_phase(ch: Channel) -> float:
@@ -165,7 +153,6 @@ def closed_form_phase(ch: Channel) -> float:
     The reduction is done in units of pi with IEEE ``remainder`` so that
     large multiples of pi (nu_tilde of order thousands) lose no precision.
     """
-    # 2*sigma reproduces (2 - mu) bit for bit; dividing by it keeps the
-    # rounding of nu/(2-mu) identical to the spectral-multiplier route.
-    half_turns = 0.25 - ch.nu / (2.0 * ch.sigma)
+    # nu/(2-mu) is rounded exactly as in the spectral-multiplier route.
+    half_turns = 0.25 - ch.nu / (2.0 - ch.mu)
     return math.pi * _wrap_half_turns(half_turns)

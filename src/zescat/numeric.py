@@ -19,8 +19,9 @@ is what makes the extraction accurate at finite radius even for large
 nu_tilde; (C, D) are read off the undamped pair. The default fit window
 [theta_lo, 2 theta_lo] with theta_lo = max(50, nu_tilde^2) keeps that
 residual phase error around 1e-6, far inside the 1e-4 comparison
-tolerance, at a few hundred thousand integrator steps for the hardest
-channels (mu near 2).
+tolerance. The price is a march over about nu_tilde^2/(2 pi) periods:
+2,589,392 integrator steps for the hardest sweep channel (d = 5,
+mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150).
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -63,7 +64,7 @@ _DEFAULT_RTOL = 1e-10
 _MIN_WINDOW_THETA = 50.0
 _DEFAULT_DAMPED_ORDERS = 5
 _DEFAULT_FIT_TOL = 1e-5
-_DEFAULT_POINTS_CAP = 150_000
+_POINTS_CAP = 150_000
 
 
 class IntegrationError(RuntimeError):
@@ -80,14 +81,6 @@ class FitWindowError(ValueError):
 
 class TailFitError(RuntimeError):
     """The tail fit converged but misses its residual tolerance."""
-
-
-def _mu_of(ch: Channel) -> float:
-    return 2.0 - 2.0 * ch.sigma
-
-
-def _alpha_of(ch: Channel) -> float:
-    return (ch.b * ch.sigma) ** 2
 
 
 def _theta_of(ch: Channel, r):
@@ -159,9 +152,7 @@ def default_match_radius(ch: Channel) -> float:
     sits at oscillation coordinate theta <= 12 (the origin series is the
     Bessel series in theta; letting theta grow costs e^theta in
     cancellation, which is what matters for mu close to 2)."""
-    alpha = _alpha_of(ch)
-    mu = _mu_of(ch)
-    r0 = min(1e-2, (0.1 / alpha) ** (1.0 / (2.0 - mu)),
+    r0 = min(1e-2, (0.1 / ch.alpha) ** (1.0 / (2.0 - ch.mu)),
              (12.0 / ch.b) ** (1.0 / ch.sigma))
     if r0 < 1e-140:
         # below this the equation coefficient ~1/r^2 and the integrator
@@ -214,9 +205,8 @@ def frobenius_seed(ch: Channel, r0: float, tol: float = _DEFAULT_SEED_TOL) -> Fr
         raise ValueError(f"r0 must be finite and > 0, got {r0!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    alpha = _alpha_of(ch)
-    mu = _mu_of(ch)
-    step = 2.0 - mu
+    alpha = ch.alpha
+    step = 2.0 - ch.mu
     x = alpha * r0 ** step
     if x >= 0.5:
         raise ValueError(
@@ -270,8 +260,8 @@ def frobenius_seed(ch: Channel, r0: float, tol: float = _DEFAULT_SEED_TOL) -> Fr
     )
 
 
-def _sample_grid(ch: Channel, r0: float, theta_window: tuple[float, float],
-                 points_cap: int) -> np.ndarray:
+def _sample_grid(ch: Channel, r0: float,
+                 theta_window: tuple[float, float]) -> np.ndarray:
     """Output grid: log-spaced run-up, uniform-in-theta fit window, and a
     densified last-five-periods block (>= 40 points per period near r_max)."""
     theta_lo, theta_max = theta_window
@@ -284,7 +274,7 @@ def _sample_grid(ch: Channel, r0: float, theta_window: tuple[float, float],
         )
     inner = np.geomspace(r0, r_lo, 201)[:-1]
     n_periods = (theta_max - theta_lo) / (2.0 * math.pi)
-    per_period = min(40.0, max(6.0, points_cap / n_periods))
+    per_period = min(40.0, max(6.0, _POINTS_CAP / n_periods))
     n_window = max(int(n_periods * per_period), 240)
     window_theta = np.linspace(theta_lo, theta_max, n_window)
     tail_theta = np.linspace(theta_max - 10.0 * math.pi, theta_max, 241)
@@ -293,9 +283,8 @@ def _sample_grid(ch: Channel, r0: float, theta_window: tuple[float, float],
     return np.unique(np.concatenate([[r0], inner, radii]))
 
 
-def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_max: float,
-                     tol: float | None = None, atol: float = 0.0,
-                     r_grid: np.ndarray | None = None) -> RadialSolutionSample:
+def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
+                     tol: float | None = None) -> RadialSolutionSample:
     """Integrate the radial equation outward from the seed.
 
     Parameters
@@ -304,22 +293,17 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_max: float,
         Channel constants.
     seed : FrobeniusSeed
         Starting state at ``seed.match_radius``.
-    r_max : float
-        Endpoint of integration (must exceed the match radius).
+    r_grid : numpy.ndarray
+        Strictly increasing output radii starting at the match radius;
+        :func:`solve_channel` passes the grid of ``_sample_grid``. The
+        integration ends at ``r_grid[-1]``.
     tol : float, optional
         Relative local-error tolerance per step (default 1e-10). The error
         is measured against the local oscillation envelope |f| + |f'|/w,
         w = sqrt(|equation coefficient|), so the control stays meaningful
-        over the huge dynamic range of f.
-    atol : float
-        Absolute floor added to the error scale. The default is 0 (pure
-        relative control): any fixed absolute floor would swamp the tiny
-        values of f near the origin and silently disable error control
-        there.
-    r_grid : numpy.ndarray, optional
-        Strictly increasing output radii starting at the match radius. By
-        default a grid with at least 40 points per oscillation period near
-        ``r_max`` is generated.
+        over the huge dynamic range of f. There is no absolute floor: any
+        fixed one would swamp the tiny values of f near the origin and
+        silently disable error control there.
 
     Returns
     -------
@@ -329,26 +313,18 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_max: float,
         tol = _DEFAULT_RTOL
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol!r}")
-    if not (math.isfinite(r_max) and r_max > seed.match_radius):
-        raise ValueError("r_max must exceed the seed match radius")
-    if r_grid is None:
-        theta_max = float(_theta_of(ch, r_max))
-        if theta_max >= 2.0 * _MIN_WINDOW_THETA:
-            r_grid = _sample_grid(ch, seed.match_radius,
-                                  (theta_max / 2.0, theta_max),
-                                  _DEFAULT_POINTS_CAP)
-        else:
-            # endpoint before the deep oscillatory zone: plain log grid
-            r_grid = np.geomspace(seed.match_radius, r_max, 400)
-    else:
-        r_grid = np.ascontiguousarray(r_grid, dtype=float)
-        if (r_grid.ndim != 1 or r_grid.size < 2 or r_grid[0] <= 0.0
-                or np.any(np.diff(r_grid) <= 0.0)):
-            raise ValueError("r_grid must be 1-D, positive and strictly increasing")
-    f, df, status, n_steps, n_rej, max_err, r_last = dopri5_radial_kernel(
-        ch.nu, _mu_of(ch), _alpha_of(ch), seed.match_radius,
-        seed.seed_value, seed.seed_derivative, r_grid, tol, atol,
-    )
+    r_grid = np.ascontiguousarray(r_grid, dtype=float)
+    if (r_grid.ndim != 1 or r_grid.size < 2
+            or r_grid[0] != seed.match_radius
+            or np.any(np.diff(r_grid) <= 0.0)):
+        raise ValueError("r_grid must be 1-D, strictly increasing and start "
+                         "at the seed match radius")
+    # overflow is detected by the kernel and reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, df, status, n_steps, n_rej, max_err, r_last = dopri5_radial_kernel(
+            ch.nu, ch.mu, ch.alpha, seed.match_radius,
+            seed.seed_value, seed.seed_derivative, r_grid, tol,
+        )
     if status == DOPRI_STEP_UNDERFLOW:
         raise IntegrationError("step size underflow", r_last)
     if status == DOPRI_NONFINITE:
@@ -404,8 +380,7 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
             f"window spans {(theta_hi - theta_lo) / (2 * math.pi):.2f} "
             "oscillation periods (< 2)"
         )
-    mu = _mu_of(ch)
-    y = r ** (-mu / 4.0) * sample.f[mask]
+    y = r ** (-ch.mu / 4.0) * sample.f[mask]
 
     w = theta[0] / theta
     sin_t = np.sin(theta)
@@ -426,8 +401,10 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     coef = coef / norms * y_scale
     amplitude = float(np.hypot(coef[0], coef[1]))
     phase = reduce_angle(math.atan2(coef[1], coef[0]))
-    residual = y - design @ coef
-    rms = float(np.sqrt(np.mean(residual * residual)))
+    # an rms that overflows fails the tolerance test below
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = y - design @ coef
+        rms = float(np.sqrt(np.mean(residual * residual)))
     if not (rms <= fit_tolerance * amplitude):
         raise TailFitError(
             f"fit residual rms {rms:.3g} exceeds {fit_tolerance:g} x amplitude "
@@ -443,32 +420,23 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     )
 
 
-def solve_channel(ch: Channel, rtol: float | None = None, atol: float = 0.0,
-                  theta_window: tuple[float, float] | None = None,
-                  points_cap: int = _DEFAULT_POINTS_CAP,
-                  n_damped: int = _DEFAULT_DAMPED_ORDERS,
-                  fit_tolerance: float = _DEFAULT_FIT_TOL,
+def solve_channel(ch: Channel, rtol: float | None = None,
                   ) -> tuple[RadialSolutionSample, TailFit]:
     """Run the full pipeline for one channel with the default policies.
 
     Seeds at :func:`default_match_radius`, integrates to the end of the
-    fit window from :func:`default_theta_window` (or ``theta_window``),
-    and extracts (C, D). The integrator tolerance defaults to
-    :func:`default_rtol` of the window end.
+    fit window from :func:`default_theta_window`, and extracts (C, D). The
+    integrator tolerance defaults to :func:`default_rtol` of the window
+    end.
     """
-    if theta_window is None:
-        theta_window = default_theta_window(ch)
-    theta_lo, theta_max = theta_window
+    theta_lo, theta_max = default_theta_window(ch)
     if rtol is None:
         rtol = default_rtol(theta_max)
     r0 = default_match_radius(ch)
     seed = frobenius_seed(ch, r0)
-    grid = _sample_grid(ch, r0, (theta_lo, theta_max), points_cap)
-    sample = integrate_radial(ch, seed, grid[-1], tol=rtol, atol=atol,
-                              r_grid=grid)
-    window = (_radius_at(ch, theta_lo), grid[-1])
-    fit = extract_phase_amplitude(ch, sample, window, n_damped=n_damped,
-                                  fit_tolerance=fit_tolerance)
+    grid = _sample_grid(ch, r0, (theta_lo, theta_max))
+    sample = integrate_radial(ch, seed, grid, tol=rtol)
+    fit = extract_phase_amplitude(ch, sample, (_radius_at(ch, theta_lo), grid[-1]))
     return sample, fit
 
 

@@ -27,29 +27,14 @@ from .channels import Channel, ParameterError, PotentialParams, make_channel
 from .closedform import _wrap_half_turns
 
 __all__ = [
-    "SMatrixEigenvalue",
     "HarmonicCoefficients",
     "harmonic_dim",
     "eigenvalue_via_phase",
     "eigenvalue_via_multiplier",
-    "compute_eigenvalue",
     "verify_theorem_identity",
     "IdentityReport",
     "apply_s0",
 ]
-
-_ROUTE_TOLERANCE = 1e-10
-_UNITARITY_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class SMatrixEigenvalue:
-    """Unit-modulus eigenvalue of S(0) on one channel, both routes kept."""
-
-    l: int
-    value: complex
-    via_phase: complex
-    via_multiplier: complex
 
 
 @dataclass(frozen=True)
@@ -121,34 +106,10 @@ def eigenvalue_via_multiplier(params: PotentialParams, l: int) -> complex:
     return cmath.exp(1j * math.pi * half_turns)
 
 
-def compute_eigenvalue(params: PotentialParams, l: int,
-                       phase_fn=None,
-                       route_tolerance: float = _ROUTE_TOLERANCE) -> SMatrixEigenvalue:
-    """Eigenvalue with both routes evaluated and cross-checked.
-
-    ``phase_fn`` maps a Channel to its tail phase D; by default the closed
-    form is used. Raises if the routes disagree beyond ``route_tolerance``
-    or the result is not unit modulus.
-    """
-    if phase_fn is None:
-        phase_fn = closedform.closed_form_phase
-    ch = make_channel(params, l)
-    e_phase = eigenvalue_via_phase(ch, phase_fn(ch))
-    e_mult = eigenvalue_via_multiplier(params, l)
-    if abs(e_phase - e_mult) > route_tolerance:
-        raise RuntimeError(
-            f"eigenvalue routes disagree by {abs(e_phase - e_mult):.3e} "
-            f"at l = {l} (d = {params.d}, mu = {params.mu})"
-        )
-    if abs(abs(e_mult) - 1.0) > _UNITARITY_TOLERANCE:
-        raise RuntimeError(f"eigenvalue modulus off unity at l = {l}")
-    return SMatrixEigenvalue(l=l, value=e_mult,
-                             via_phase=e_phase, via_multiplier=e_mult)
-
-
 @dataclass(frozen=True)
 class IdentityReport:
-    """Per-channel route differences |via_phase - via_multiplier|.
+    """Per-channel route differences |via_phase - via_multiplier|, and the
+    route-2 (multiplier) eigenvalues they were measured against.
 
     Carries no alpha: neither route depends on the coupling strength, and
     reports for different alpha compare equal.
@@ -159,6 +120,7 @@ class IdentityReport:
     l_max: int
     differences: tuple[float, ...]
     max_difference: float
+    eigenvalues: tuple[complex, ...]
 
 
 def verify_theorem_identity(params: PotentialParams, L: int,
@@ -175,14 +137,17 @@ def verify_theorem_identity(params: PotentialParams, L: int,
     if phase_fn is None:
         phase_fn = closedform.closed_form_phase
     diffs = []
+    eigs = []
     for l in range(L + 1):
         ch = make_channel(params, l)
         e_phase = eigenvalue_via_phase(ch, phase_fn(ch))
         e_mult = eigenvalue_via_multiplier(params, l)
         diffs.append(abs(e_phase - e_mult))
+        eigs.append(e_mult)
     return IdentityReport(
         d=params.d, mu=params.mu, l_max=L,
         differences=tuple(diffs), max_difference=max(diffs),
+        eigenvalues=tuple(eigs),
     )
 
 

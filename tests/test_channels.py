@@ -79,6 +79,16 @@ class TestMakeChannel:
         b = make_channel(p, 4)
         assert (a.nu, a.nu_tilde, a.b, a.sigma) == (b.nu, b.nu_tilde, b.b, b.sigma)
 
+    @pytest.mark.parametrize("mu", [0.1, 0.3])
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    def test_carries_mu_and_alpha_exactly(self, mu, alpha):
+        # values where rebuilding mu = 2 - 2 sigma or alpha = (b sigma)^2
+        # from the derived constants drifts by an ulp
+        p = PotentialParams(d=3, mu=mu, alpha=alpha)
+        ch = make_channel(p, 2)
+        assert (ch.d, ch.mu, ch.alpha) == (p.d, p.mu, p.alpha)
+        assert ch.sigma == (2.0 - p.mu) / 2.0
+
     def test_sigma_in_unit_interval(self):
         for mu in (0.1, 0.5, 1.0, 1.9):
             ch = make_channel(PotentialParams(d=4, mu=mu, alpha=1.0), 1)

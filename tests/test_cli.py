@@ -6,7 +6,7 @@ import math
 import pytest
 
 from zescat import closedform
-from zescat.cli import EXIT_INVALID, EXIT_OK, EXIT_TOLERANCE, main
+from zescat.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE, main
 
 
 def _run(capsys, argv):
@@ -45,6 +45,19 @@ class TestExitCodes:
                                      "--format", "json"])
         assert code == EXIT_TOLERANCE
         assert json.loads(out)["summary"]["pass"] is False
+
+    @pytest.mark.parametrize("argv, reason", [
+        # the origin seed would need a radius below the double range
+        (["phase-table", "-d", "3", "--mu", "1.999999"], "mu too close to 2"),
+        # the integrator state overflows before the fit window
+        (["verify", "-d", "4", "--mu", "1.0", "--alpha", "1e-300"], "non-finite"),
+    ])
+    def test_numeric_route_failure_exits_three(self, capsys, recwarn, argv, reason):
+        code, out, err = _run(capsys, argv + ["--numeric", "--lmax", "0"])
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert err.count("\n") == 1 and reason in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestDeterminism:
@@ -209,6 +222,11 @@ class TestVerify:
         code, _, err = _run(capsys, ["verify", "--config", str(cfg)])
         assert code == EXIT_INVALID
         assert "nonsense_key" in err
+        # checked on load, so it never reaches the numeric route (exit 3)
+        cfg.write_text("rtol = 0\n")
+        code, _, err = _run(capsys, ["verify", "--numeric", "--config", str(cfg)])
+        assert code == EXIT_INVALID
+        assert "rtol" in err
 
     def test_integrator_tolerance_override(self, capsys, tmp_path):
         cfg = tmp_path / "rtol.cfg"

@@ -23,7 +23,12 @@ from zescat import (
     make_channel,
     solve_channel,
 )
-from zescat.numeric import default_match_radius, _radius_at
+from zescat.numeric import (
+    _radius_at,
+    _sample_grid,
+    default_match_radius,
+    default_theta_window,
+)
 
 J1_AT_2 = 0.57672480775687339  # mpmath, 50 digits
 
@@ -52,7 +57,7 @@ class TestFrobeniusSeed:
 
     def test_zero_coupling_gives_pure_power(self):
         # validation bypass: alpha = 0 only through a hand-built channel
-        ch = Channel(l=0, nu=0.5, nu_tilde=1.0, b=0.0, sigma=0.5)
+        ch = Channel(d=3, mu=1.0, alpha=0.0, l=0)
         seed = frobenius_seed(ch, 1e-2)
         assert np.all(seed.coefficients[1:] == 0.0)
         assert seed.seed_value == pytest.approx(1e-2, rel=1e-15)
@@ -90,10 +95,10 @@ class TestFrobeniusSeed:
 class TestIntegrateRadial:
     def test_free_equation_is_linear(self):
         # alpha = 0, nu = 1/2: the equation is f'' = 0 and f(r) = r
-        ch = Channel(l=0, nu=0.5, nu_tilde=1.0, b=0.0, sigma=0.5)
+        ch = Channel(d=3, mu=1.0, alpha=0.0, l=0)
         seed = frobenius_seed(ch, 1e-2)
         grid = np.geomspace(1e-2, 50.0, 400)
-        sample = integrate_radial(ch, seed, 50.0, tol=1e-10, r_grid=grid)
+        sample = integrate_radial(ch, seed, grid, tol=1e-10)
         assert np.allclose(sample.f, grid, rtol=1e-10, atol=0.0)
         assert np.allclose(sample.df, 1.0, rtol=1e-10, atol=0.0)
 
@@ -102,7 +107,7 @@ class TestIntegrateRadial:
         r0 = default_match_radius(ch)
         seed = frobenius_seed(ch, r0)
         grid = np.geomspace(r0, 1.0, 64)
-        sample = integrate_radial(ch, seed, 1.0, tol=1e-12, r_grid=grid)
+        sample = integrate_radial(ch, seed, grid, tol=1e-12)
         assert sample.f[-1] == pytest.approx(J1_AT_2, abs=1e-8)
 
     def test_tolerance_degrades_monotonically(self):
@@ -112,7 +117,7 @@ class TestIntegrateRadial:
         grid = np.geomspace(r0, 1.0, 16)
         errs = []
         for tol in (1e-6, 1e-12):
-            sample = integrate_radial(ch, seed, 1.0, tol=tol, r_grid=grid)
+            sample = integrate_radial(ch, seed, grid, tol=tol)
             errs.append(abs(sample.f[-1] - J1_AT_2))
         assert errs[0] > errs[1]
 
@@ -120,7 +125,8 @@ class TestIntegrateRadial:
         ch = _channel(2, 1.0, 1.0, 0)
         r0 = default_match_radius(ch)
         seed = frobenius_seed(ch, r0)
-        sample = integrate_radial(ch, seed, _radius_at(ch, 320.0), tol=1e-10)
+        sample = integrate_radial(ch, seed, _sample_grid(ch, r0, (160.0, 320.0)),
+                                  tol=1e-10)
         assert sample.r[0] == r0
         assert np.all(np.diff(sample.r) > 0.0)
         assert sample.n_steps > 0
@@ -129,34 +135,32 @@ class TestIntegrateRadial:
 
     def test_overflowing_solution_reports_radius(self):
         # a huge index makes the below-barrier growth overflow doubles
-        ch = Channel(l=0, nu=500.0, nu_tilde=1000.0, b=2.0, sigma=0.5)
+        ch = Channel(d=2, mu=1.0, alpha=1.0, l=500)
         seed = dataclasses.replace(
             frobenius_seed(_channel(3, 1.0, 1.0, 0), 1e-2),
             seed_value=1.0, seed_derivative=500.5 / 1e-2, nu=500.0,
         )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(IntegrationError) as err:
-                integrate_radial(ch, seed, 1e4, tol=1e-10,
-                                 r_grid=np.geomspace(1e-2, 1e4, 50))
+                integrate_radial(ch, seed, np.geomspace(1e-2, 1e4, 50), tol=1e-10)
         assert err.value.radius > 0.0
 
     def test_input_validation(self):
         ch = _channel(3, 1.0, 1.0, 0)
         seed = frobenius_seed(ch, 1e-2)
+        with pytest.raises(ValueError):  # grid starts below the match radius
+            integrate_radial(ch, seed, np.geomspace(1e-3, 1.0, 8))
         with pytest.raises(ValueError):
-            integrate_radial(ch, seed, 1e-3)  # r_max below match radius
+            integrate_radial(ch, seed, np.geomspace(1e-2, 1.0, 8), tol=-1e-10)
         with pytest.raises(ValueError):
-            integrate_radial(ch, seed, 1.0, tol=-1e-10)
-        with pytest.raises(ValueError):
-            integrate_radial(ch, seed, 1.0, r_grid=np.array([1e-2, 1e-2, 1.0]))
+            integrate_radial(ch, seed, np.array([1e-2, 1e-2, 1.0]))
 
 
 def _synthetic_sample(ch, amplitude, phase, theta_lo=60.0, periods=20, n=4000):
     theta = np.linspace(theta_lo, theta_lo + periods * 2.0 * math.pi, n)
     r = (theta / ch.b) ** (1.0 / ch.sigma)
-    mu = 2.0 - 2.0 * ch.sigma
     y = amplitude * np.sin(theta + phase)
-    return RadialSolutionSample(r=r, f=r ** (mu / 4.0) * y, df=np.zeros_like(r),
+    return RadialSolutionSample(r=r, f=r ** (ch.mu / 4.0) * y, df=np.zeros_like(r),
                                 n_steps=0, n_rejected=0, max_error_estimate=0.0)
 
 
@@ -222,12 +226,11 @@ class TestPipeline:
         seed = frobenius_seed(ch, r0)
         seed2 = dataclasses.replace(seed, seed_value=2.0 * seed.seed_value,
                                     seed_derivative=2.0 * seed.seed_derivative)
-        from zescat.numeric import _sample_grid, default_theta_window
         window = default_theta_window(ch)
-        grid = _sample_grid(ch, r0, window, 150_000)
+        grid = _sample_grid(ch, r0, window)
         fits = []
         for s in (seed, seed2):
-            sample = integrate_radial(ch, s, grid[-1], tol=1e-11, r_grid=grid)
+            sample = integrate_radial(ch, s, grid, tol=1e-11)
             fits.append(extract_phase_amplitude(
                 ch, sample, (_radius_at(ch, window[0]), grid[-1])))
         c1, c2 = (f.phase_amplitude.amplitude_C for f in fits)

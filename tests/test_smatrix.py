@@ -11,7 +11,6 @@ from zescat import (
     PotentialParams,
     apply_s0,
     closed_form_phase,
-    compute_eigenvalue,
     eigenvalue_via_multiplier,
     eigenvalue_via_phase,
     harmonic_dim,
@@ -30,8 +29,11 @@ class TestEigenvalueRoutes:
         assert eigenvalue_via_phase(ch, math.pi / 4) == pytest.approx(1.0, abs=1e-15)
 
     def test_via_phase_d3(self):
-        ch = make_channel(PotentialParams(d=3, mu=1.0, alpha=1.0), 0)
+        p = PotentialParams(d=3, mu=1.0, alpha=1.0)
+        ch = make_channel(p, 0)
         assert eigenvalue_via_phase(ch, -math.pi / 4) == pytest.approx(-1j, abs=1e-15)
+        ch = make_channel(p, 1)
+        assert eigenvalue_via_phase(ch, closed_form_phase(ch)) == pytest.approx(1j, abs=1e-14)
 
     def test_via_phase_periodicity(self):
         ch = make_channel(PotentialParams(d=4, mu=0.7, alpha=2.0), 3)
@@ -63,18 +65,6 @@ class TestEigenvalueRoutes:
                 report = verify_theorem_identity(p, 100)
                 assert report.max_difference <= 1e-12
 
-    def test_compute_eigenvalue_consistency(self):
-        p = PotentialParams(d=3, mu=1.0, alpha=1.0)
-        ev = compute_eigenvalue(p, 1)
-        assert ev.value == pytest.approx(1j, abs=1e-14)
-        assert abs(ev.via_phase - ev.via_multiplier) <= 1e-10
-        assert abs(abs(ev.value) - 1.0) <= 1e-12
-
-    def test_compute_eigenvalue_detects_corruption(self):
-        p = PotentialParams(d=3, mu=1.0, alpha=1.0)
-        with pytest.raises(RuntimeError):
-            compute_eigenvalue(p, 2, phase_fn=lambda ch: closed_form_phase(ch) + 0.1)
-
 
 class TestIdentityReport:
     def test_d3_mu1(self):
@@ -83,6 +73,9 @@ class TestIdentityReport:
         assert report.l_max == 10
         assert len(report.differences) == 11
         assert report.max_difference <= 1e-12
+        assert report.eigenvalues == tuple(eigenvalue_via_multiplier(p, l)
+                                           for l in range(11))
+        assert report.eigenvalues[1] == pytest.approx(1j, abs=1e-14)
 
     def test_nu_zero_channel_gives_exactly_one(self):
         p = PotentialParams(d=2, mu=0.5, alpha=2.0)
