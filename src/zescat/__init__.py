@@ -9,7 +9,6 @@ numerical pipeline (Frobenius seed, adaptive integration, least-squares
 tail fit) are both provided and cross-checked.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .channels import (
     Channel,
     ParameterError,
@@ -48,13 +47,11 @@ from .smatrix import (
     harmonic_dim,
     verify_theorem_identity,
 )
-from .specfn import BesselOrder, bessel_j, bessel_j_asymptotic, gamma, log_gamma
+from .specfn import bessel_j, bessel_j_asymptotic, gamma, log_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "NUMBA_ENABLED",
-    "BesselOrder",
     "Channel",
     "FitWindowError",
     "FrobeniusSeed",

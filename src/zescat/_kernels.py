@@ -1,96 +1,19 @@
 """Numeric kernels: special functions and the radial integrator.
 
-Everything in this module is scalar/array arithmetic with no Python object
-state, so the functions can be compiled with numba. When numba is available
-(and not disabled) every kernel is wrapped in ``numba.njit``; otherwise the
-same source runs as plain Python over numpy arrays. Set the environment
-variable ``ZESCAT_NO_NUMBA=1`` before import to force the interpreted path,
-e.g. for debugging or benchmarking (see ``benchmarks/bench_kernels.py``).
+Plain Python over floats and numpy arrays, one code path per kernel.
+Gamma and log Gamma are the standard library's ``math.gamma`` and
+``math.lgamma`` (relative error about 1e-15); the two names below are the
+one binding that :mod:`zescat.specfn` and :mod:`zescat.closedform` call.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover
-    numba = None
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_ENABLED = numba is not None and not _env_flag("ZESCAT_NO_NUMBA")
-
-if NUMBA_ENABLED:
-    def _jit(func):
-        return numba.njit(func, cache=True)
-else:
-    def _jit(func):
-        return func
-
-
-# =====================================================================
-# Gamma function (Lanczos approximation, g = 7, 9 coefficients)
-# =====================================================================
-
-_LG = 7.0
-_LC0 = 0.99999999999980993
-_LC1 = 676.5203681218851
-_LC2 = -1259.1392167224028
-_LC3 = 771.32342877765313
-_LC4 = -176.61502916214059
-_LC5 = 12.507343278686905
-_LC6 = -0.13857109526572012
-_LC7 = 9.9843695780195716e-6
-_LC8 = 1.5056327351493116e-7
-
-_HALF_LOG_2PI = 0.9189385332046727
-_SQRT_2PI = 2.5066282746310002
-
-
-@_jit
-def _lanczos_sum(z):
-    # z = x - 1 with x >= 0.5
-    return (_LC0 + _LC1 / (z + 1.0) + _LC2 / (z + 2.0) + _LC3 / (z + 3.0)
-            + _LC4 / (z + 4.0) + _LC5 / (z + 5.0) + _LC6 / (z + 6.0)
-            + _LC7 / (z + 7.0) + _LC8 / (z + 8.0))
-
-
-@_jit
-def lgamma_kernel(x):
-    """log Gamma(x) for x > 0."""
-    if x < 0.5:
-        # reflection keeps the Lanczos argument in its accurate range
-        z = -x
-        return (math.log(math.pi / math.sin(math.pi * x))
-                - (_HALF_LOG_2PI + (z + 0.5) * math.log(z + _LG + 0.5)
-                   - (z + _LG + 0.5) + math.log(_lanczos_sum(z))))
-    z = x - 1.0
-    t = z + _LG + 0.5
-    return _HALF_LOG_2PI + (z + 0.5) * math.log(t) - t + math.log(_lanczos_sum(z))
-
-
-@_jit
-def gamma_kernel(x):
-    """Gamma(x) for 0 < x < 171.62 (overflow guarded by callers)."""
-    if x < 0.5:
-        y = 1.0 - x
-        z = y - 1.0
-        t = z + _LG + 0.5
-        g = _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
-        return math.pi / (math.sin(math.pi * x) * g)
-    if x > 140.0:
-        # the direct power t**(z+0.5) overflows before Gamma itself does
-        return math.exp(lgamma_kernel(x))
-    z = x - 1.0
-    t = z + _LG + 0.5
-    return _SQRT_2PI * t ** (z + 0.5) * math.exp(-t) * _lanczos_sum(z)
+gamma_kernel = math.gamma
+lgamma_kernel = math.lgamma
 
 
 # =====================================================================
@@ -111,7 +34,6 @@ _HANKEL_MIN_S = 30.0
 _HANKEL_TOL = 3.0e-14
 
 
-@_jit
 def _bessel_series(nu, s):
     """Ascending series; returns (value, cancellation_condition)."""
     half = 0.5 * s
@@ -135,7 +57,6 @@ def _bessel_series(nu, s):
     return total, absum / max(abs(total), 1e-308)
 
 
-@_jit
 def _bessel_hankel(nu, s):
     """Modulus/phase asymptotic expansion; returns (value, smallest_term)."""
     mu4 = 4.0 * nu * nu
@@ -164,7 +85,6 @@ def _bessel_hankel(nu, s):
     return val, minterm
 
 
-@_jit
 def _bessel_miller(nu, s):
     """Backward recurrence with Neumann-series normalization."""
     n = int(math.floor(nu))
@@ -203,7 +123,6 @@ def _bessel_miller(nu, s):
     return vals[n] * math.exp(frac * math.log(0.5 * s)) / total
 
 
-@_jit
 def bessel_j_kernel(nu, s):
     """J_nu(s) for nu >= 0, s >= 0 (inputs validated by the caller)."""
     if s == 0.0:
@@ -219,7 +138,6 @@ def bessel_j_kernel(nu, s):
     return _bessel_miller(nu, s)
 
 
-@_jit
 def bessel_j_grid_kernel(nu, s, out):
     for i in range(s.shape[0]):
         out[i] = bessel_j_kernel(nu, s[i])
@@ -243,7 +161,6 @@ DOPRI_STEP_UNDERFLOW = 1
 DOPRI_NONFINITE = 2
 
 
-@_jit
 def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
     """Returns (f_out, fp_out, status, n_steps, n_rejected, max_err, r_fail).
 
@@ -255,29 +172,40 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
     n_out = r_out.shape[0]
     out_f = np.empty(n_out)
     out_fp = np.empty(n_out)
+    # Python floats throughout: numpy scalar arithmetic is several times
+    # slower and gives the same IEEE results.
+    grid = r_out.item
+    nu, mu, alpha, rtol = float(nu), float(mu), float(alpha), float(rtol)
+    isfinite = math.isfinite
+    sqrt = math.sqrt
     a2 = nu * nu - 0.25
+    neg_mu = -mu
 
-    r = r0
-    f = f0
-    fp = fp0
+    r = float(r0)
+    f = float(f0)
+    fp = float(fp0)
+    try:
+        q = (a2 / r) / r - alpha * r ** neg_mu
+    except OverflowError:
+        # r ** neg_mu overflows to inf; only r0 can, later radii are larger
+        q = (a2 / r) / r - alpha * math.inf
     k1f = fp
-    k1p = ((a2 / r) / r - alpha * r ** (-mu)) * f
+    k1p = q * f
 
-    q0 = abs((a2 / r) / r - alpha * r ** (-mu))
-    h = 0.01 / max(math.sqrt(q0), 1.0 / r)
+    h = 0.01 / max(sqrt(abs(q)), 1.0 / r)
     errold = 1e-4
     n_steps = 0
     n_rej = 0
     max_err = 0.0
 
     j = 0
-    while j < n_out and r_out[j] <= r:
+    while j < n_out and grid(j) <= r:
         out_f[j] = f
         out_fp[j] = fp
         j += 1
 
     while j < n_out:
-        target = r_out[j]
+        target = grid(j)
         if target - r <= r * 1e-15:
             # indistinguishable from the current point at double precision
             out_f[j] = f
@@ -296,19 +224,19 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
         yf = f + h * 0.2 * k1f
         yp = fp + h * 0.2 * k1p
         k2f = yp
-        k2p = ((a2 / rr) / rr - alpha * rr ** (-mu)) * yf
+        k2p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
 
         rr = r + 0.3 * h
         yf = f + h * (0.075 * k1f + 0.225 * k2f)
         yp = fp + h * (0.075 * k1p + 0.225 * k2p)
         k3f = yp
-        k3p = ((a2 / rr) / rr - alpha * rr ** (-mu)) * yf
+        k3p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
 
         rr = r + 0.8 * h
         yf = f + h * ((44.0 / 45.0) * k1f - (56.0 / 15.0) * k2f + (32.0 / 9.0) * k3f)
         yp = fp + h * ((44.0 / 45.0) * k1p - (56.0 / 15.0) * k2p + (32.0 / 9.0) * k3p)
         k4f = yp
-        k4p = ((a2 / rr) / rr - alpha * rr ** (-mu)) * yf
+        k4p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
 
         rr = r + (8.0 / 9.0) * h
         yf = f + h * ((19372.0 / 6561.0) * k1f - (25360.0 / 2187.0) * k2f
@@ -316,9 +244,10 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
         yp = fp + h * ((19372.0 / 6561.0) * k1p - (25360.0 / 2187.0) * k2p
                        + (64448.0 / 6561.0) * k3p - (212.0 / 729.0) * k4p)
         k5f = yp
-        k5p = ((a2 / rr) / rr - alpha * rr ** (-mu)) * yf
+        k5p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
 
         rr = r + h
+        q = (a2 / rr) / rr - alpha * rr ** neg_mu   # stages 6, 7 and the error scale
         yf = f + h * ((9017.0 / 3168.0) * k1f - (355.0 / 33.0) * k2f
                       + (46732.0 / 5247.0) * k3f + (49.0 / 176.0) * k4f
                       - (5103.0 / 18656.0) * k5f)
@@ -326,7 +255,7 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
                        + (46732.0 / 5247.0) * k3p + (49.0 / 176.0) * k4p
                        - (5103.0 / 18656.0) * k5p)
         k6f = yp
-        k6p = ((a2 / rr) / rr - alpha * rr ** (-mu)) * yf
+        k6p = q * yf
 
         nf = f + h * ((35.0 / 384.0) * k1f + (500.0 / 1113.0) * k3f
                       + (125.0 / 192.0) * k4f - (2187.0 / 6784.0) * k5f
@@ -335,7 +264,7 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
                         + (125.0 / 192.0) * k4p - (2187.0 / 6784.0) * k5p
                         + (11.0 / 84.0) * k6p)
         k7f = np_
-        k7p = ((a2 / rr) / rr - alpha * rr ** (-mu)) * nf
+        k7p = q * nf
 
         ef = h * ((71.0 / 57600.0) * k1f - (71.0 / 16695.0) * k3f
                   + (71.0 / 1920.0) * k4f - (17253.0 / 339200.0) * k5f
@@ -344,18 +273,20 @@ def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
                   + (71.0 / 1920.0) * k4p - (17253.0 / 339200.0) * k5p
                   + (22.0 / 525.0) * k6p - (1.0 / 40.0) * k7p)
 
-        if not (math.isfinite(nf) and math.isfinite(np_)
-                and math.isfinite(ef) and math.isfinite(ep)):
+        if not (isfinite(nf) and isfinite(np_) and isfinite(ef) and isfinite(ep)):
             n_rej += 1
             h *= 0.25
             if h < r * 5e-15:
                 return out_f, out_fp, DOPRI_NONFINITE, n_steps, n_rej, max_err, r
             continue
 
-        w = max(math.sqrt(abs((a2 / rr) / rr - alpha * rr ** (-mu))), 1e-300)
+        w = max(sqrt(abs(q)), 1e-300)
         scf = rtol * (abs(nf) + abs(np_) / w)
         scp = rtol * (abs(np_) + abs(nf) * w)
-        err = math.sqrt(0.5 * ((ef / scf) ** 2 + (ep / scp) ** 2))
+        try:
+            err = sqrt(0.5 * ((ef / scf) ** 2 + (ep / scp) ** 2))
+        except (OverflowError, ZeroDivisionError):
+            err = math.inf      # an inf or nan error rejects the step
 
         if err <= 1.0:
             n_steps += 1

@@ -13,14 +13,14 @@ The route is deliberately disjoint from :mod:`zescat.closedform`:
    against sinusoids of the known oscillation variable theta = b r^sigma.
 
 The fit model is sin(theta) and cos(theta) times 1, 1/theta, ...,
-1/theta^J (default J = 5). The inverse-power columns soak up the slow
+1/theta^J (J = 5). The inverse-power columns soak up the slow
 O(nu_tilde^2/theta) approach of the tail to its limiting sinusoid, which
 is what makes the extraction accurate at finite radius even for large
 nu_tilde; (C, D) are read off the undamped pair. The default fit window
 [theta_lo, 2 theta_lo] with theta_lo = max(50, nu_tilde^2) keeps that
 residual phase error around 1e-6, far inside the 1e-4 comparison
 tolerance. The price is a march over about nu_tilde^2/(2 pi) periods:
-2,589,392 integrator steps for the hardest sweep channel (d = 5,
+2,591,348 integrator steps for the hardest sweep channel (d = 5,
 mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150).
 
 Channels are independent pure computations and may run concurrently.
@@ -59,11 +59,11 @@ __all__ = [
 ]
 
 _MAX_SERIES_ORDER = 200
-_DEFAULT_SEED_TOL = 1e-14
+_SEED_TOL = 1e-14
 _DEFAULT_RTOL = 1e-10
 _MIN_WINDOW_THETA = 50.0
-_DEFAULT_DAMPED_ORDERS = 5
-_DEFAULT_FIT_TOL = 1e-5
+_DAMPED_ORDERS = 5
+_FIT_TOL = 1e-5
 _POINTS_CAP = 150_000
 
 
@@ -96,29 +96,12 @@ def _radius_at(ch: Channel, theta: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FrobeniusSeed:
-    """Truncated origin series and the state (f, f') it implies at r0."""
+    """The state (f, f') the truncated origin series gives at r0."""
 
-    coefficients: np.ndarray
     truncation_order: int
     match_radius: float
     seed_value: float
     seed_derivative: float
-    nu: float
-    exponent_step: float
-
-    def __post_init__(self):
-        if self.coefficients[0] != 1.0:
-            raise ValueError("Frobenius series must start with c_0 = 1")
-
-    def evaluate(self, r):
-        """Series value f(r); accurate for r up to the match radius."""
-        arr = np.asarray(r, dtype=float)
-        x = arr ** self.exponent_step
-        acc = np.zeros_like(arr)
-        for c in self.coefficients[::-1]:
-            acc = acc * x + c
-        val = arr ** (self.nu + 0.5) * acc
-        return float(val) if arr.ndim == 0 else val
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +165,15 @@ def default_rtol(theta_max: float) -> float:
     return min(_DEFAULT_RTOL, 4e-7 / theta_max)
 
 
-def frobenius_seed(ch: Channel, r0: float, tol: float = _DEFAULT_SEED_TOL) -> FrobeniusSeed:
+def frobenius_seed(ch: Channel, r0: float) -> FrobeniusSeed:
     """Seed the regular solution at r0 from the origin series.
+
+    The series is summed through its scaled terms t_k = c_k r0^(k(2-mu)),
+
+        t_k = -t_{k-1} x / (k(2-mu) (k(2-mu) + 2 nu)),   x = alpha r0^(2-mu),
+
+    which stay bounded by 1 however large alpha is (the bare coefficients
+    c_k grow as alpha^k), until |t_k| <= 1e-14.
 
     Parameters
     ----------
@@ -192,22 +182,16 @@ def frobenius_seed(ch: Channel, r0: float, tol: float = _DEFAULT_SEED_TOL) -> Fr
     r0 : float
         Match radius, must satisfy alpha r0^(2-mu) < 1/2 so the series
         converges fast.
-    tol : float
-        Truncation threshold on the last retained term of the normalized
-        series (default 1e-14).
 
     Returns
     -------
     FrobeniusSeed
-        Coefficients c_0..c_K and the seeded values f(r0), f'(r0).
+        The truncation order K and the seeded values f(r0), f'(r0).
     """
     if not (math.isfinite(r0) and r0 > 0.0):
         raise ValueError(f"r0 must be finite and > 0, got {r0!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    alpha = ch.alpha
     step = 2.0 - ch.mu
-    x = alpha * r0 ** step
+    x = ch.alpha * r0 ** step
     if x >= 0.5:
         raise ValueError(
             f"r0 too large for the origin series: alpha r0^(2-mu) = {x:.3g} >= 1/2"
@@ -220,25 +204,18 @@ def frobenius_seed(ch: Channel, r0: float, tol: float = _DEFAULT_SEED_TOL) -> Fr
             f"r0 sits at oscillation coordinate theta = {theta0:.3g} > 16.5; "
             "the origin series would lose all precision to cancellation"
         )
-    coeffs = [1.0]
-    x_pow = r0 ** step
-    c = 1.0
     term = 1.0
-    series_sum = 1.0            # sum c_k r0^(k(2-mu))
-    deriv_sum = ch.nu + 0.5     # sum c_k (nu + 1/2 + k(2-mu)) r0^(k(2-mu))
-    order = 0
+    series_sum = 1.0            # sum t_k
+    deriv_sum = ch.nu + 0.5     # sum t_k (nu + 1/2 + k(2-mu))
     for k in range(1, _MAX_SERIES_ORDER + 1):
-        c = -alpha * c / (k * step * (k * step + 2.0 * ch.nu))
-        coeffs.append(c)
-        term = c * x_pow ** k
+        term = -term * x / (k * step * (k * step + 2.0 * ch.nu))
         series_sum += term
         deriv_sum += term * (ch.nu + 0.5 + k * step)
-        order = k
-        if abs(term) <= tol:
+        if abs(term) <= _SEED_TOL:
             break
     else:
         raise ValueError(
-            f"origin series did not reach |term| <= {tol:g} within "
+            f"origin series did not reach |term| <= {_SEED_TOL:g} within "
             f"{_MAX_SERIES_ORDER} terms"
         )
     seed_value = r0 ** (ch.nu + 0.5) * series_sum
@@ -250,13 +227,10 @@ def frobenius_seed(ch: Channel, r0: float, tol: float = _DEFAULT_SEED_TOL) -> Fr
             f"r0 = {r0:g}, nu = {ch.nu:g}"
         )
     return FrobeniusSeed(
-        coefficients=np.array(coeffs),
-        truncation_order=order,
+        truncation_order=k,
         match_radius=r0,
         seed_value=seed_value,
         seed_derivative=seed_derivative,
-        nu=ch.nu,
-        exponent_step=step,
     )
 
 
@@ -319,12 +293,10 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
             or np.any(np.diff(r_grid) <= 0.0)):
         raise ValueError("r_grid must be 1-D, strictly increasing and start "
                          "at the seed match radius")
-    # overflow is detected by the kernel and reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        f, df, status, n_steps, n_rej, max_err, r_last = dopri5_radial_kernel(
-            ch.nu, ch.mu, ch.alpha, seed.match_radius,
-            seed.seed_value, seed.seed_derivative, r_grid, tol,
-        )
+    f, df, status, n_steps, n_rej, max_err, r_last = dopri5_radial_kernel(
+        ch.nu, ch.mu, ch.alpha, seed.match_radius,
+        seed.seed_value, seed.seed_derivative, r_grid, tol,
+    )
     if status == DOPRI_STEP_UNDERFLOW:
         raise IntegrationError("step size underflow", r_last)
     if status == DOPRI_NONFINITE:
@@ -339,13 +311,11 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
 
 
 def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
-                            window: tuple[float, float],
-                            n_damped: int = _DEFAULT_DAMPED_ORDERS,
-                            fit_tolerance: float = _DEFAULT_FIT_TOL) -> TailFit:
+                            window: tuple[float, float]) -> TailFit:
     """Fit r^(-mu/4) f against damped sinusoids of theta = b r^sigma.
 
     Ordinary least squares on the columns sin(theta) w^j, cos(theta) w^j,
-    j = 0..n_damped, w = theta_lo/theta; the frequency is fixed by the
+    j = 0..5, w = theta_lo/theta; the frequency is fixed by the
     channel. The amplitude and phase come from the undamped pair:
     C = hypot(A, B), D = atan2(B, A) reduced to (-pi, pi].
 
@@ -356,7 +326,7 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
         periods), window outside the deep oscillatory regime
         (theta_lo < 50), or a rank-deficient design.
     TailFitError
-        Residual RMS above ``fit_tolerance`` times the fitted amplitude.
+        Residual RMS above 1e-5 times the fitted amplitude.
     """
     r_lo, r_hi = float(window[0]), float(window[1])
     if not (0.0 < r_lo < r_hi):
@@ -386,7 +356,7 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     sin_t = np.sin(theta)
     cos_t = np.cos(theta)
     cols = []
-    for j in range(n_damped + 1):
+    for j in range(_DAMPED_ORDERS + 1):
         wj = w ** j
         cols.append(sin_t * wj)
         cols.append(cos_t * wj)
@@ -405,9 +375,9 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     with np.errstate(over="ignore", invalid="ignore"):
         residual = y - design @ coef
         rms = float(np.sqrt(np.mean(residual * residual)))
-    if not (rms <= fit_tolerance * amplitude):
+    if not (rms <= _FIT_TOL * amplitude):
         raise TailFitError(
-            f"fit residual rms {rms:.3g} exceeds {fit_tolerance:g} x amplitude "
+            f"fit residual rms {rms:.3g} exceeds {_FIT_TOL:g} x amplitude "
             f"({amplitude:.3g})"
         )
     return TailFit(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zescat import BesselOrder, bessel_j, bessel_j_asymptotic, gamma, log_gamma
+from zescat import bessel_j, bessel_j_asymptotic, gamma, log_gamma
 
 from oracles import bessel_j_series_only, bisect_root, gamma_half_integer
 
@@ -94,10 +94,20 @@ class TestGamma:
         with pytest.raises(OverflowError):
             gamma(200.0)
 
-    def test_log_gamma_matches_stdlib(self):
-        for x in np.geomspace(1e-3, 2000.0, 60):
-            ref = math.lgamma(x)
-            assert log_gamma(float(x)) == pytest.approx(ref, rel=0, abs=1e-12 * max(1.0, abs(ref)))
+    def test_gamma_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.geomspace(1e-6, 171.5, 400):
+            with mpmath.workdps(40):
+                ref = float(mpmath.gamma(mpmath.mpf(float(x))))
+            assert gamma(float(x)) == pytest.approx(ref, rel=1e-14, abs=0)
+
+    def test_log_gamma_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for x in np.geomspace(1e-3, 1e6, 400):
+            with mpmath.workdps(40):
+                ref = float(mpmath.loggamma(mpmath.mpf(float(x))))
+            assert log_gamma(float(x)) == pytest.approx(
+                ref, rel=0, abs=2e-15 * max(1.0, abs(ref)))
 
     def test_log_gamma_domain(self):
         with pytest.raises(ValueError):
@@ -105,16 +115,19 @@ class TestGamma:
 
 
 class TestBesselOrder:
+    """The order argument of bessel_j and bessel_j_asymptotic: any real
+    that converts to a finite float >= 0."""
+
     def test_valid(self):
-        assert BesselOrder(3.5).nu_tilde == 3.5
+        assert bessel_j(np.float64(3.5), 1.0) == bessel_j(3.5, 1.0)
+        assert bessel_j(3, 2.0) == bessel_j(3.0, 2.0)
+        assert bessel_j_asymptotic(np.float64(3.5), 40.0) == bessel_j_asymptotic(3.5, 40.0)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_invalid(self, bad):
-        with pytest.raises(ValueError):
-            BesselOrder(bad)
-
-    def test_accepted_by_bessel_j(self):
-        assert bessel_j(BesselOrder(0.5), 1.0) == bessel_j(0.5, 1.0)
+        for func in (bessel_j, bessel_j_asymptotic):
+            with pytest.raises(ValueError, match="Bessel order"):
+                func(bad, 1.0)
 
 
 class TestBesselJ:
@@ -194,6 +207,8 @@ class TestBesselJ:
             bessel_j(1.0, -1.0)
         with pytest.raises(ValueError):
             bessel_j(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            bessel_j(math.inf, 1.0)
         with pytest.raises(ValueError):
             bessel_j(1.0, np.array([1.0, -2.0]))
 
