@@ -13,7 +13,6 @@ from .channels import (
     Channel,
     ParameterError,
     PotentialParams,
-    laplace_beltrami_eigenvalue,
     make_channel,
 )
 from .closedform import (
@@ -80,7 +79,6 @@ __all__ = [
     "gamma",
     "harmonic_dim",
     "integrate_radial",
-    "laplace_beltrami_eigenvalue",
     "log_gamma",
     "make_channel",
     "reduce_angle",

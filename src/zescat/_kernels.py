@@ -1,4 +1,4 @@
-"""Numeric kernels: special functions and the radial integrator.
+"""Numeric kernels: the special functions.
 
 Plain Python over floats and numpy arrays, one code path per kernel.
 Gamma and log Gamma are the standard library's ``math.gamma`` and
@@ -141,174 +141,3 @@ def bessel_j_kernel(nu, s):
 def bessel_j_grid_kernel(nu, s, out):
     for i in range(s.shape[0]):
         out[i] = bessel_j_kernel(nu, s[i])
-
-
-# =====================================================================
-# Radial zero-energy equation, integrated with a Dormand-Prince 5(4)
-# embedded pair and PI step control:
-#
-#     f'' = ((nu^2 - 1/4)/r^2 - alpha r^(-mu)) f
-#
-# Local error is measured relative to the oscillation envelope
-# |f| + |f'|/w, w = sqrt(|coefficient|), so the control is scale free
-# over the enormous dynamic range of f (the equation is linear).
-# Output is sampled on a caller-supplied strictly increasing grid by
-# clamping steps onto the grid points.
-# =====================================================================
-
-DOPRI_OK = 0
-DOPRI_STEP_UNDERFLOW = 1
-DOPRI_NONFINITE = 2
-
-
-def dopri5_radial_kernel(nu, mu, alpha, r0, f0, fp0, r_out, rtol):
-    """Returns (f_out, fp_out, status, n_steps, n_rejected, max_err, r_fail).
-
-    The error scale is purely relative, rtol times the local oscillation
-    envelope. There is no absolute term: f grows from r0^(nu+1/2) at the
-    origin, and any fixed floor would swamp those tiny values and silently
-    disable error control there.
-    """
-    n_out = r_out.shape[0]
-    out_f = np.empty(n_out)
-    out_fp = np.empty(n_out)
-    # Python floats throughout: numpy scalar arithmetic is several times
-    # slower and gives the same IEEE results.
-    grid = r_out.item
-    nu, mu, alpha, rtol = float(nu), float(mu), float(alpha), float(rtol)
-    isfinite = math.isfinite
-    sqrt = math.sqrt
-    a2 = nu * nu - 0.25
-    neg_mu = -mu
-
-    r = float(r0)
-    f = float(f0)
-    fp = float(fp0)
-    try:
-        q = (a2 / r) / r - alpha * r ** neg_mu
-    except OverflowError:
-        # r ** neg_mu overflows to inf; only r0 can, later radii are larger
-        q = (a2 / r) / r - alpha * math.inf
-    k1f = fp
-    k1p = q * f
-
-    h = 0.01 / max(sqrt(abs(q)), 1.0 / r)
-    errold = 1e-4
-    n_steps = 0
-    n_rej = 0
-    max_err = 0.0
-
-    j = 0
-    while j < n_out and grid(j) <= r:
-        out_f[j] = f
-        out_fp[j] = fp
-        j += 1
-
-    while j < n_out:
-        target = grid(j)
-        if target - r <= r * 1e-15:
-            # indistinguishable from the current point at double precision
-            out_f[j] = f
-            out_fp[j] = fp
-            j += 1
-            continue
-        hit = False
-        if r + h >= target:
-            h = target - r
-            hit = True
-        elif h < r * 5e-15:
-            return out_f, out_fp, DOPRI_STEP_UNDERFLOW, n_steps, n_rej, max_err, r
-
-        # Dormand-Prince stages (FSAL: k7 of an accepted step is next k1)
-        rr = r + 0.2 * h
-        yf = f + h * 0.2 * k1f
-        yp = fp + h * 0.2 * k1p
-        k2f = yp
-        k2p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
-
-        rr = r + 0.3 * h
-        yf = f + h * (0.075 * k1f + 0.225 * k2f)
-        yp = fp + h * (0.075 * k1p + 0.225 * k2p)
-        k3f = yp
-        k3p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
-
-        rr = r + 0.8 * h
-        yf = f + h * ((44.0 / 45.0) * k1f - (56.0 / 15.0) * k2f + (32.0 / 9.0) * k3f)
-        yp = fp + h * ((44.0 / 45.0) * k1p - (56.0 / 15.0) * k2p + (32.0 / 9.0) * k3p)
-        k4f = yp
-        k4p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
-
-        rr = r + (8.0 / 9.0) * h
-        yf = f + h * ((19372.0 / 6561.0) * k1f - (25360.0 / 2187.0) * k2f
-                      + (64448.0 / 6561.0) * k3f - (212.0 / 729.0) * k4f)
-        yp = fp + h * ((19372.0 / 6561.0) * k1p - (25360.0 / 2187.0) * k2p
-                       + (64448.0 / 6561.0) * k3p - (212.0 / 729.0) * k4p)
-        k5f = yp
-        k5p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
-
-        rr = r + h
-        q = (a2 / rr) / rr - alpha * rr ** neg_mu   # stages 6, 7 and the error scale
-        yf = f + h * ((9017.0 / 3168.0) * k1f - (355.0 / 33.0) * k2f
-                      + (46732.0 / 5247.0) * k3f + (49.0 / 176.0) * k4f
-                      - (5103.0 / 18656.0) * k5f)
-        yp = fp + h * ((9017.0 / 3168.0) * k1p - (355.0 / 33.0) * k2p
-                       + (46732.0 / 5247.0) * k3p + (49.0 / 176.0) * k4p
-                       - (5103.0 / 18656.0) * k5p)
-        k6f = yp
-        k6p = q * yf
-
-        nf = f + h * ((35.0 / 384.0) * k1f + (500.0 / 1113.0) * k3f
-                      + (125.0 / 192.0) * k4f - (2187.0 / 6784.0) * k5f
-                      + (11.0 / 84.0) * k6f)
-        np_ = fp + h * ((35.0 / 384.0) * k1p + (500.0 / 1113.0) * k3p
-                        + (125.0 / 192.0) * k4p - (2187.0 / 6784.0) * k5p
-                        + (11.0 / 84.0) * k6p)
-        k7f = np_
-        k7p = q * nf
-
-        ef = h * ((71.0 / 57600.0) * k1f - (71.0 / 16695.0) * k3f
-                  + (71.0 / 1920.0) * k4f - (17253.0 / 339200.0) * k5f
-                  + (22.0 / 525.0) * k6f - (1.0 / 40.0) * k7f)
-        ep = h * ((71.0 / 57600.0) * k1p - (71.0 / 16695.0) * k3p
-                  + (71.0 / 1920.0) * k4p - (17253.0 / 339200.0) * k5p
-                  + (22.0 / 525.0) * k6p - (1.0 / 40.0) * k7p)
-
-        if not (isfinite(nf) and isfinite(np_) and isfinite(ef) and isfinite(ep)):
-            n_rej += 1
-            h *= 0.25
-            if h < r * 5e-15:
-                return out_f, out_fp, DOPRI_NONFINITE, n_steps, n_rej, max_err, r
-            continue
-
-        w = max(sqrt(abs(q)), 1e-300)
-        scf = rtol * (abs(nf) + abs(np_) / w)
-        scp = rtol * (abs(np_) + abs(nf) * w)
-        try:
-            err = sqrt(0.5 * ((ef / scf) ** 2 + (ep / scp) ** 2))
-        except (OverflowError, ZeroDivisionError):
-            err = math.inf      # an inf or nan error rejects the step
-
-        if err <= 1.0:
-            n_steps += 1
-            if err > max_err:
-                max_err = err
-            r = rr
-            f = nf
-            fp = np_
-            k1f = k7f
-            k1p = k7p
-            if hit:
-                out_f[j] = f
-                out_fp[j] = fp
-                j += 1
-            if err > 0.0:
-                fac = 0.9 * err ** -0.14 * errold ** 0.08
-            else:
-                fac = 5.0
-            errold = max(err, 1e-10)
-        else:
-            n_rej += 1
-            fac = max(0.2, 0.9 * err ** -0.2)
-        h *= min(5.0, max(0.2, fac))
-
-    return out_f, out_fp, DOPRI_OK, n_steps, n_rej, max_err, r

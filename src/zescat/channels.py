@@ -22,7 +22,6 @@ __all__ = [
     "PotentialParams",
     "Channel",
     "make_channel",
-    "laplace_beltrami_eigenvalue",
 ]
 
 # mu values this close to an endpoint are rejected rather than clamped:
@@ -119,12 +118,3 @@ def make_channel(params: PotentialParams, l: int) -> Channel:
     if not isinstance(l, int) or isinstance(l, bool) or l < 0:
         raise ParameterError(f"l must be a nonnegative integer, got {l!r}")
     return Channel(d=params.d, mu=params.mu, alpha=params.alpha, l=l)
-
-
-def laplace_beltrami_eigenvalue(d: int, l: int) -> float:
-    """Eigenvalue l(l + d - 2) of -Laplacian on order-l spherical harmonics."""
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ParameterError(f"d must be an integer >= 2, got {d!r}")
-    if not isinstance(l, int) or isinstance(l, bool) or l < 0:
-        raise ParameterError(f"l must be a nonnegative integer, got {l!r}")
-    return float(l * (l + d - 2))

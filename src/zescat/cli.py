@@ -106,9 +106,9 @@ def _load_config(path: str) -> dict:
             elif key in float_keys:
                 overrides[key] = float(value)
                 if key == "rtol" and not (math.isfinite(overrides[key])
-                                          and overrides[key] > 0.0):
+                                          and overrides[key] >= numeric._MIN_RTOL):
                     raise ValueError(f"{path}:{lineno}: rtol must be finite "
-                                     f"and > 0, got {value}")
+                                     f"and >= 2**-52, got {value}")
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
     return overrides

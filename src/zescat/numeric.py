@@ -20,7 +20,7 @@ nu_tilde; (C, D) are read off the undamped pair. The default fit window
 [theta_lo, 2 theta_lo] with theta_lo = max(50, nu_tilde^2) keeps that
 residual phase error around 1e-6, far inside the 1e-4 comparison
 tolerance. The price is a march over about nu_tilde^2/(2 pi) periods:
-2,591,348 integrator steps for the hardest sweep channel (d = 5,
+2,588,792 integrator steps for the hardest sweep channel (d = 5,
 mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150).
 
 Channels are independent pure computations and may run concurrently.
@@ -33,11 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (
-    DOPRI_NONFINITE,
-    DOPRI_STEP_UNDERFLOW,
-    dopri5_radial_kernel,
-)
 from .channels import Channel
 from .closedform import PhaseAmplitude, reduce_angle
 
@@ -61,6 +56,7 @@ __all__ = [
 _MAX_SERIES_ORDER = 200
 _SEED_TOL = 1e-14
 _DEFAULT_RTOL = 1e-10
+_MIN_RTOL = 2.0 ** -52     # tighter tolerances cannot be met in doubles
 _MIN_WINDOW_THETA = 50.0
 _DAMPED_ORDERS = 5
 _FIT_TOL = 1e-5
@@ -142,7 +138,8 @@ def default_match_radius(ch: Channel) -> float:
         # state leave the double-precision range
         raise ValueError(
             "seed radius underflows the representable radial range for "
-            "this channel (mu too close to 2 for the numerical route)"
+            "this channel (alpha too large or mu too close to 2 for the "
+            "numerical route)"
         )
     return r0
 
@@ -236,17 +233,18 @@ def frobenius_seed(ch: Channel, r0: float) -> FrobeniusSeed:
 
 def _sample_grid(ch: Channel, r0: float,
                  theta_window: tuple[float, float]) -> np.ndarray:
-    """Output grid: log-spaced run-up, uniform-in-theta fit window, and a
-    densified last-five-periods block (>= 40 points per period near r_max)."""
+    """Output grid: the seed radius r0, then the fit window, uniform in
+    theta, and a densified last-five-periods block (>= 40 points per period
+    near r_max). Nothing is sampled between r0 and the window, so the
+    window starts at ``grid[1]``."""
     theta_lo, theta_max = theta_window
-    r_lo = _radius_at(ch, theta_lo)
-    if not (math.isfinite(_radius_at(ch, theta_max)) and r_lo > r0):
+    if not (math.isfinite(_radius_at(ch, theta_max))
+            and _radius_at(ch, theta_lo) > r0):
         raise ValueError(
             f"oscillation window theta in [{theta_lo:g}, {theta_max:g}] maps "
             "outside the representable radial range for this channel "
             "(nu_tilde and mu too extreme for the numerical route)"
         )
-    inner = np.geomspace(r0, r_lo, 201)[:-1]
     n_periods = (theta_max - theta_lo) / (2.0 * math.pi)
     per_period = min(40.0, max(6.0, _POINTS_CAP / n_periods))
     n_window = max(int(n_periods * per_period), 240)
@@ -254,12 +252,19 @@ def _sample_grid(ch: Channel, r0: float,
     tail_theta = np.linspace(theta_max - 10.0 * math.pi, theta_max, 241)
     theta = np.concatenate([window_theta, tail_theta])
     radii = (theta / ch.b) ** (1.0 / ch.sigma)
-    return np.unique(np.concatenate([[r0], inner, radii]))
+    return np.unique(np.concatenate([[r0], radii]))
 
 
 def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
-                     tol: float | None = None) -> RadialSolutionSample:
+                     tol: float) -> RadialSolutionSample:
     """Integrate the radial equation outward from the seed.
+
+    The equation
+
+        f'' = ((nu^2 - 1/4)/r^2 - alpha r^(-mu)) f
+
+    is marched with a Dormand-Prince 5(4) embedded pair and PI step
+    control, clamping steps onto the output radii.
 
     Parameters
     ----------
@@ -271,42 +276,183 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
         Strictly increasing output radii starting at the match radius;
         :func:`solve_channel` passes the grid of ``_sample_grid``. The
         integration ends at ``r_grid[-1]``.
-    tol : float, optional
-        Relative local-error tolerance per step (default 1e-10). The error
-        is measured against the local oscillation envelope |f| + |f'|/w,
-        w = sqrt(|equation coefficient|), so the control stays meaningful
-        over the huge dynamic range of f. There is no absolute floor: any
-        fixed one would swamp the tiny values of f near the origin and
-        silently disable error control there.
+    tol : float
+        Relative local-error tolerance per step, at least 2**-52 (a tighter
+        one cannot be met in double precision and the march never ends).
+        The error is measured against the local oscillation envelope
+        |f| + |f'|/w, w = sqrt(|equation coefficient|), so the control
+        stays meaningful over the huge dynamic range of f. There is no
+        absolute floor: any fixed one would swamp the tiny values of f
+        near the origin and silently disable error control there.
 
     Returns
     -------
     RadialSolutionSample
+
+    Raises
+    ------
+    ValueError
+        ``tol`` below 2**-52 or not finite, or a malformed ``r_grid``.
+    IntegrationError
+        Non-finite seed state, a step size that underflows the radius, or
+        a state that stays non-finite however small the step (f outgrew
+        the double range); ``radius`` records where.
     """
-    if tol is None:
-        tol = _DEFAULT_RTOL
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+    if not (math.isfinite(tol) and tol >= _MIN_RTOL):
+        raise ValueError(f"tol must be finite and >= 2**-52, got {tol!r}")
     r_grid = np.ascontiguousarray(r_grid, dtype=float)
     if (r_grid.ndim != 1 or r_grid.size < 2
             or r_grid[0] != seed.match_radius
             or np.any(np.diff(r_grid) <= 0.0)):
         raise ValueError("r_grid must be 1-D, strictly increasing and start "
                          "at the seed match radius")
-    f, df, status, n_steps, n_rej, max_err, r_last = dopri5_radial_kernel(
-        ch.nu, ch.mu, ch.alpha, seed.match_radius,
-        seed.seed_value, seed.seed_derivative, r_grid, tol,
-    )
-    if status == DOPRI_STEP_UNDERFLOW:
-        raise IntegrationError("step size underflow", r_last)
-    if status == DOPRI_NONFINITE:
-        raise IntegrationError("state became non-finite", r_last)
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(df))):
-        raise IntegrationError("non-finite values in output", r_last)
+    r = float(seed.match_radius)
+    f = float(seed.seed_value)
+    fp = float(seed.seed_derivative)
+    if not (math.isfinite(f) and math.isfinite(fp)):
+        # the march writes only this state and accepted states it has
+        # checked, so this is the one place a non-finite value can enter
+        raise IntegrationError("seed state is non-finite", r)
+
+    n_out = r_grid.shape[0]
+    out_f = np.empty(n_out)
+    out_fp = np.empty(n_out)
+    out_f[0] = f
+    out_fp[0] = fp
+    # Python floats throughout: numpy scalar arithmetic is several times
+    # slower and gives the same IEEE results.
+    grid = r_grid.item
+    nu, mu, alpha, rtol = float(ch.nu), float(ch.mu), float(ch.alpha), float(tol)
+    isfinite = math.isfinite
+    sqrt = math.sqrt
+    a2 = nu * nu - 0.25
+    neg_mu = -mu
+
+    try:
+        q = (a2 / r) / r - alpha * r ** neg_mu
+    except OverflowError:
+        # r ** neg_mu overflows to inf; only r0 can, later radii are larger
+        q = (a2 / r) / r - alpha * math.inf
+    k1f = fp
+    k1p = q * f
+
+    h = 0.01 / max(sqrt(abs(q)), 1.0 / r)
+    errold = 1e-4
+    n_steps = 0
+    n_rej = 0
+    max_err = 0.0
+
+    j = 1
+    while j < n_out:
+        target = grid(j)
+        if target - r <= r * 1e-15:
+            # indistinguishable from the current point at double precision
+            out_f[j] = f
+            out_fp[j] = fp
+            j += 1
+            continue
+        hit = False
+        if r + h >= target:
+            h = target - r
+            hit = True
+        elif h < r * 5e-15:
+            raise IntegrationError("step size underflow", r)
+
+        # Dormand-Prince stages (FSAL: k7 of an accepted step is next k1)
+        rr = r + 0.2 * h
+        yf = f + h * 0.2 * k1f
+        yp = fp + h * 0.2 * k1p
+        k2f = yp
+        k2p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
+
+        rr = r + 0.3 * h
+        yf = f + h * (0.075 * k1f + 0.225 * k2f)
+        yp = fp + h * (0.075 * k1p + 0.225 * k2p)
+        k3f = yp
+        k3p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
+
+        rr = r + 0.8 * h
+        yf = f + h * ((44.0 / 45.0) * k1f - (56.0 / 15.0) * k2f + (32.0 / 9.0) * k3f)
+        yp = fp + h * ((44.0 / 45.0) * k1p - (56.0 / 15.0) * k2p + (32.0 / 9.0) * k3p)
+        k4f = yp
+        k4p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
+
+        rr = r + (8.0 / 9.0) * h
+        yf = f + h * ((19372.0 / 6561.0) * k1f - (25360.0 / 2187.0) * k2f
+                      + (64448.0 / 6561.0) * k3f - (212.0 / 729.0) * k4f)
+        yp = fp + h * ((19372.0 / 6561.0) * k1p - (25360.0 / 2187.0) * k2p
+                       + (64448.0 / 6561.0) * k3p - (212.0 / 729.0) * k4p)
+        k5f = yp
+        k5p = ((a2 / rr) / rr - alpha * rr ** neg_mu) * yf
+
+        rr = r + h
+        q = (a2 / rr) / rr - alpha * rr ** neg_mu   # stages 6, 7 and the error scale
+        yf = f + h * ((9017.0 / 3168.0) * k1f - (355.0 / 33.0) * k2f
+                      + (46732.0 / 5247.0) * k3f + (49.0 / 176.0) * k4f
+                      - (5103.0 / 18656.0) * k5f)
+        yp = fp + h * ((9017.0 / 3168.0) * k1p - (355.0 / 33.0) * k2p
+                       + (46732.0 / 5247.0) * k3p + (49.0 / 176.0) * k4p
+                       - (5103.0 / 18656.0) * k5p)
+        k6f = yp
+        k6p = q * yf
+
+        nf = f + h * ((35.0 / 384.0) * k1f + (500.0 / 1113.0) * k3f
+                      + (125.0 / 192.0) * k4f - (2187.0 / 6784.0) * k5f
+                      + (11.0 / 84.0) * k6f)
+        np_ = fp + h * ((35.0 / 384.0) * k1p + (500.0 / 1113.0) * k3p
+                        + (125.0 / 192.0) * k4p - (2187.0 / 6784.0) * k5p
+                        + (11.0 / 84.0) * k6p)
+        k7f = np_
+        k7p = q * nf
+
+        ef = h * ((71.0 / 57600.0) * k1f - (71.0 / 16695.0) * k3f
+                  + (71.0 / 1920.0) * k4f - (17253.0 / 339200.0) * k5f
+                  + (22.0 / 525.0) * k6f - (1.0 / 40.0) * k7f)
+        ep = h * ((71.0 / 57600.0) * k1p - (71.0 / 16695.0) * k3p
+                  + (71.0 / 1920.0) * k4p - (17253.0 / 339200.0) * k5p
+                  + (22.0 / 525.0) * k6p - (1.0 / 40.0) * k7p)
+
+        if not (isfinite(nf) and isfinite(np_) and isfinite(ef) and isfinite(ep)):
+            n_rej += 1
+            h *= 0.25
+            if h < r * 5e-15:
+                raise IntegrationError("state became non-finite", r)
+            continue
+
+        w = max(sqrt(abs(q)), 1e-300)
+        scf = rtol * (abs(nf) + abs(np_) / w)
+        scp = rtol * (abs(np_) + abs(nf) * w)
+        try:
+            err = sqrt(0.5 * ((ef / scf) ** 2 + (ep / scp) ** 2))
+        except (OverflowError, ZeroDivisionError):
+            err = math.inf      # an inf or nan error rejects the step
+
+        if err <= 1.0:
+            n_steps += 1
+            if err > max_err:
+                max_err = err
+            r = rr
+            f = nf
+            fp = np_
+            k1f = k7f
+            k1p = k7p
+            if hit:
+                out_f[j] = f
+                out_fp[j] = fp
+                j += 1
+            if err > 0.0:
+                fac = 0.9 * err ** -0.14 * errold ** 0.08
+            else:
+                fac = 5.0
+            errold = max(err, 1e-10)
+        else:
+            n_rej += 1
+            fac = max(0.2, 0.9 * err ** -0.2)
+        h *= min(5.0, max(0.2, fac))
+
     return RadialSolutionSample(
-        r=r_grid, f=f, df=df,
-        n_steps=int(n_steps), n_rejected=int(n_rej),
-        max_error_estimate=float(max_err),
+        r=r_grid, f=out_f, df=out_fp,
+        n_steps=n_steps, n_rejected=n_rej, max_error_estimate=max_err,
     )
 
 
@@ -365,16 +511,18 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     y_scale = float(np.max(np.abs(y)))
     if y_scale == 0.0:
         raise FitWindowError("window contains an identically zero solution")
-    coef, _, rank, sv = np.linalg.lstsq(design / norms, y / y_scale, rcond=None)
+    # fit and residual in units of y_scale, so that neither squaring the
+    # residual nor the design product under- or overflows at any amplitude
+    y = y / y_scale
+    coef, _, rank, sv = np.linalg.lstsq(design / norms, y, rcond=None)
     if rank < design.shape[1]:
         raise FitWindowError("rank-deficient least-squares design")
-    coef = coef / norms * y_scale
+    coef = coef / norms
+    residual = y - design @ coef
+    rms = float(np.sqrt(np.mean(residual * residual))) * y_scale
+    coef = coef * y_scale
     amplitude = float(np.hypot(coef[0], coef[1]))
     phase = reduce_angle(math.atan2(coef[1], coef[0]))
-    # an rms that overflows fails the tolerance test below
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = y - design @ coef
-        rms = float(np.sqrt(np.mean(residual * residual)))
     if not (rms <= _FIT_TOL * amplitude):
         raise TailFitError(
             f"fit residual rms {rms:.3g} exceeds {_FIT_TOL:g} x amplitude "
@@ -399,14 +547,14 @@ def solve_channel(ch: Channel, rtol: float | None = None,
     integrator tolerance defaults to :func:`default_rtol` of the window
     end.
     """
-    theta_lo, theta_max = default_theta_window(ch)
+    window = default_theta_window(ch)
     if rtol is None:
-        rtol = default_rtol(theta_max)
+        rtol = default_rtol(window[1])
     r0 = default_match_radius(ch)
     seed = frobenius_seed(ch, r0)
-    grid = _sample_grid(ch, r0, (theta_lo, theta_max))
+    grid = _sample_grid(ch, r0, window)
     sample = integrate_radial(ch, seed, grid, tol=rtol)
-    fit = extract_phase_amplitude(ch, sample, (_radius_at(ch, theta_lo), grid[-1]))
+    fit = extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
     return sample, fit
 
 

@@ -7,7 +7,6 @@ import pytest
 from zescat import (
     ParameterError,
     PotentialParams,
-    laplace_beltrami_eigenvalue,
     make_channel,
 )
 
@@ -96,21 +95,11 @@ class TestMakeChannel:
 
 
 class TestLaplaceBeltrami:
-    @pytest.mark.parametrize("d,l,expected", [(3, 0, 0.0), (3, 1, 2.0), (2, 5, 25.0)])
-    def test_values(self, d, l, expected):
-        assert laplace_beltrami_eigenvalue(d, l) == expected
-
-    def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            laplace_beltrami_eigenvalue(1, 0)
-        with pytest.raises(ParameterError):
-            laplace_beltrami_eigenvalue(3, -1)
-
     def test_perfect_square_identity(self):
         # sqrt(l(l+d-2) + ((d-2)/2)^2) equals nu = l + (d-2)/2 exactly;
         # this ties the spectral multiplier to the per-channel phase.
         for d in range(2, 11):
             for l in range(0, 101):
-                lam = laplace_beltrami_eigenvalue(d, l)
+                lam = l * (l + d - 2)
                 nu = l + (d - 2) / 2.0
                 assert abs(math.sqrt(lam + ((d - 2) / 2.0) ** 2) - nu) <= 1e-12

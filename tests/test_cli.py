@@ -51,6 +51,9 @@ class TestExitCodes:
         (["phase-table", "-d", "3", "--mu", "1.999999"], "mu too close to 2"),
         # the integrator state overflows before the fit window
         (["verify", "-d", "4", "--mu", "1.0", "--alpha", "1e-300"], "non-finite"),
+        # a huge coupling also pushes the seed radius below that range
+        (["phase-table", "-d", "3", "--mu", "0.3", "--alpha", "1e250"],
+         "alpha too large"),
     ])
     def test_numeric_route_failure_exits_three(self, capsys, recwarn, argv, reason):
         code, out, err = _run(capsys, argv + ["--numeric", "--lmax", "0"])
@@ -223,10 +226,11 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "nonsense_key" in err
         # checked on load, so it never reaches the numeric route (exit 3)
-        cfg.write_text("rtol = 0\n")
-        code, _, err = _run(capsys, ["verify", "--numeric", "--config", str(cfg)])
-        assert code == EXIT_INVALID
-        assert "rtol" in err
+        for rtol in ("0", "1e-30"):  # 1e-30 is below double rounding
+            cfg.write_text(f"rtol = {rtol}\n")
+            code, _, err = _run(capsys, ["verify", "--numeric", "--config", str(cfg)])
+            assert code == EXIT_INVALID
+            assert "rtol" in err
 
     def test_integrator_tolerance_override(self, capsys, tmp_path):
         cfg = tmp_path / "rtol.cfg"

@@ -167,20 +167,26 @@ class TestIntegrateRadial:
             frobenius_seed(_channel(3, 1.0, 1.0, 0), 1e-2),
             seed_value=1.0, seed_derivative=500.5 / 1e-2,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(IntegrationError) as err:
-                integrate_radial(ch, seed, np.geomspace(1e-2, 1e4, 50), tol=1e-10)
+        with pytest.raises(IntegrationError) as err:
+            integrate_radial(ch, seed, np.geomspace(1e-2, 1e4, 50), tol=1e-10)
         assert err.value.radius > 0.0
 
     def test_input_validation(self):
         ch = _channel(3, 1.0, 1.0, 0)
         seed = frobenius_seed(ch, 1e-2)
         with pytest.raises(ValueError):  # grid starts below the match radius
-            integrate_radial(ch, seed, np.geomspace(1e-3, 1.0, 8))
+            integrate_radial(ch, seed, np.geomspace(1e-3, 1.0, 8), tol=1e-10)
+        # a negative tolerance, and one below double rounding that the
+        # step control could never meet
+        for tol in (-1e-10, 1e-30):
+            with pytest.raises(ValueError, match="tol"):
+                integrate_radial(ch, seed, np.geomspace(1e-2, 1.0, 8), tol=tol)
         with pytest.raises(ValueError):
-            integrate_radial(ch, seed, np.geomspace(1e-2, 1.0, 8), tol=-1e-10)
-        with pytest.raises(ValueError):
-            integrate_radial(ch, seed, np.array([1e-2, 1e-2, 1.0]))
+            integrate_radial(ch, seed, np.array([1e-2, 1e-2, 1.0]), tol=1e-10)
+        # a hand-built seed is the one way a non-finite state gets in
+        bad = dataclasses.replace(seed, seed_value=math.nan)
+        with pytest.raises(IntegrationError, match="seed state"):
+            integrate_radial(ch, bad, np.geomspace(1e-2, 1.0, 8), tol=1e-10)
 
 
 def _synthetic_sample(ch, amplitude, phase, theta_lo=60.0, periods=20, n=4000):
@@ -199,6 +205,12 @@ class TestExtractPhaseAmplitude:
         assert fit.phase_amplitude.amplitude_C == pytest.approx(3.0, abs=1e-12)
         assert fit.phase_amplitude.phase_D == pytest.approx(0.7, abs=1e-12)
         assert fit.residual_rms < 1e-12
+        # the squared residual must not overflow at a huge amplitude
+        sample = _synthetic_sample(ch, 1e200, 0.7)
+        fit = extract_phase_amplitude(ch, sample, (sample.r[0], sample.r[-1]))
+        assert fit.phase_amplitude.amplitude_C == pytest.approx(1e200, rel=1e-12)
+        assert fit.phase_amplitude.phase_D == pytest.approx(0.7, abs=1e-12)
+        assert fit.residual_rms < 1e-12 * 1e200
 
     def test_window_errors(self):
         ch = _channel(2, 1.0, 1.0, 0)
@@ -221,6 +233,11 @@ class TestExtractPhaseAmplitude:
         noisy = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-3 * rng.standard_normal(sample.f.shape)))
         with pytest.raises(TailFitError):
             extract_phase_amplitude(ch, noisy, (sample.r[0], sample.r[-1]))
+        # ... and at a tiny amplitude, where the squared residual must not
+        # underflow to a vacuous rms of 0
+        tiny = dataclasses.replace(noisy, f=noisy.f * 1e-200)
+        with pytest.raises(TailFitError):
+            extract_phase_amplitude(ch, tiny, (sample.r[0], sample.r[-1]))
         # noise well under the fixed 1e-5 tolerance still fits
         quiet = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-7 * rng.standard_normal(sample.f.shape)))
         fit = extract_phase_amplitude(ch, quiet, (sample.r[0], sample.r[-1]))
