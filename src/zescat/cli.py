@@ -11,10 +11,13 @@ verify
 eigenvalues
     S(0) eigenvalues per channel via the spectral multiplier.
 
-Exit codes: 0 all checks passed, 1 a tolerance was exceeded, 2 invalid
-input, 3 the numeric route could not produce a result for a valid channel
-(one line on stderr names the channel and the reason; no report is
-written). Machine output is deterministic: identical configuration
+Each subcommand accepts only the options it reads, and a ``--config``
+file only the keys in ``CONFIG_KEYS`` for its command. Exit codes: 0 all
+checks passed, 1 a tolerance was exceeded, 2 invalid input (an option or
+key the command does not read and an unwritable ``--out`` path
+included), 3 the numeric route could not produce a result for a valid
+channel (one line on stderr names the channel and the reason; no report
+is written). Machine output is deterministic: identical configuration
 produces byte-identical bytes, numbers are printed with shortest
 round-trip precision, and angles are in radians (``--degrees`` affects the
 human format only).
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from . import closedform, numeric, smatrix
 from .channels import ParameterError, PotentialParams, make_channel
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -39,8 +42,8 @@ EXIT_INVALID = 2
 EXIT_NUMERIC = 3
 
 # Built-in verification grids. The identity part (route agreement) runs on
-# a wider envelope than the numeric sweep. A --config file can override any
-# of these keys.
+# a wider envelope than the numeric sweep. A verify --config file can
+# override any of these keys.
 DEFAULT_GRID = {
     "identity_dims": (2, 3, 4, 5, 6),
     "identity_mus": (0.1, 0.3, 0.5, 1.0, 1.5, 1.9),
@@ -52,7 +55,11 @@ DEFAULT_GRID = {
 }
 TOL_ROUTE = 1e-12
 TOL_PHASE = 1e-4
-TOL_AMP = 1e-4
+# the config keys each command reads; any other key is invalid input
+CONFIG_KEYS = {
+    "phase-table": ("tol_phase", "tol_amp"),
+    "verify": (*DEFAULT_GRID, "tol_phase", "tol_amp", "tol_route"),
+}
 
 
 class NumericRouteError(Exception):
@@ -65,14 +72,13 @@ class RunConfig:
 
     params: PotentialParams | None
     l_max: int
-    numeric: bool = False
-    rtol: float | None = None      # integrator tolerance; None = per-channel
-    tol_phase: float = TOL_PHASE
-    tol_amp: float = TOL_AMP
-    tol_route: float = TOL_ROUTE
-    fmt: str = "human"
-    out: str | None = None
-    degrees: bool = False
+    numeric: bool
+    tol_phase: float
+    tol_amp: float
+    tol_route: float
+    fmt: str
+    out: str | None
+    degrees: bool
     grid: dict = field(default_factory=dict)
 
 
@@ -80,37 +86,41 @@ def _repr_float(x) -> str:
     return repr(float(x))
 
 
-def _load_config(path: str) -> dict:
-    """Parse a simple ``key = value`` override file (comma-separated lists)."""
+def _load_config(path: str, keys) -> dict:
+    """Parse a simple ``key = value`` override file (comma-separated lists)
+    that may set only ``keys``."""
     overrides: dict = {}
     int_keys = {"lmax", "lmax_identity"}
     int_list_keys = {"dims", "identity_dims"}
     float_list_keys = {"mus", "alphas", "identity_mus"}
-    float_keys = {"tol_phase", "tol_amp", "tol_route", "rtol"}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{where}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip().lower()
             value = value.strip()
+            if key not in keys:
+                raise ValueError(f"{where}: unknown key {key!r} "
+                                 f"(expected one of {', '.join(keys)})")
             if key in int_list_keys:
                 overrides[key] = tuple(int(v) for v in value.split(","))
             elif key in float_list_keys:
                 overrides[key] = tuple(float(v) for v in value.split(","))
             elif key in int_keys:
                 overrides[key] = int(value)
-            elif key in float_keys:
-                overrides[key] = float(value)
-                if key == "rtol" and not (math.isfinite(overrides[key])
-                                          and overrides[key] >= numeric._MIN_RTOL):
-                    raise ValueError(f"{path}:{lineno}: rtol must be finite "
-                                     f"and >= 2**-52, got {value}")
+                if overrides[key] < 0:
+                    raise ValueError(f"{where}: {key} must be >= 0, got {value}")
             else:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                overrides[key] = float(value)
+                # a NaN tolerance fails every comparison, so no result meets it
+                if not (math.isfinite(overrides[key]) and overrides[key] > 0.0):
+                    raise ValueError(f"{where}: {key} must be finite and > 0, "
+                                     f"got {value}")
     return overrides
 
 
@@ -201,14 +211,14 @@ def _closed_columns(ch) -> dict:
     return {"D_closed": closedform.closed_form_phase(ch), "C_closed": c_closed}
 
 
-def _numeric_columns(ch, rtol: float | None, closed: dict) -> dict:
+def _numeric_columns(ch, closed: dict) -> dict:
     """Numeric-route (D, C) of ``ch`` and its deviations from ``closed``.
 
     rel_dC is None where the closed-form C is. Raises NumericRouteError
     when the numeric route cannot produce a result for the channel.
     """
     try:
-        _, fit = numeric.solve_channel(ch, rtol=rtol)
+        _, fit = numeric.solve_channel(ch)
     except (numeric.IntegrationError, numeric.TailFitError, ValueError,
             OverflowError) as exc:
         raise NumericRouteError(
@@ -235,7 +245,7 @@ def _phase_table_rows(cfg: RunConfig):
         ch = make_channel(params, l)
         row = {"l": l, "nu": ch.nu, "nu_tilde": ch.nu_tilde, **_closed_columns(ch)}
         if cfg.numeric:
-            row.update(_numeric_columns(ch, cfg.rtol, row))
+            row.update(_numeric_columns(ch, row))
             worst_phase = max(worst_phase, row["abs_dD"])
             if row["rel_dC"] is not None:
                 worst_amp = max(worst_amp, row["rel_dC"])
@@ -316,7 +326,7 @@ def cmd_verify(cfg: RunConfig) -> int:
                     params = PotentialParams(d=d, mu=mu, alpha=alpha)
                     for l in range(grid["lmax"] + 1):
                         ch = make_channel(params, l)
-                        num = _numeric_columns(ch, cfg.rtol, _closed_columns(ch))
+                        num = _numeric_columns(ch, _closed_columns(ch))
                         try:
                             variant = closedform.closed_form_amplitude_variant(ch)
                             variant_ratio = variant / num["C_numeric"]
@@ -378,58 +388,54 @@ def _build_parser() -> argparse.ArgumentParser:
                     "potential -alpha |x|^(-mu).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    table = sub.add_parser("phase-table", help="tail phase/amplitude table")
+    eigen = sub.add_parser("eigenvalues", help="S(0) eigenvalue table")
+    verify = sub.add_parser("verify", help="route-agreement and sweep checks")
 
-    def add_common(p, need_params: bool):
-        if need_params:
-            p.add_argument("-d", "--dim", type=int, required=True,
-                           help="space dimension d >= 2")
-            p.add_argument("--mu", type=float, required=True,
-                           help="potential exponent, 0 < mu < 2")
-            p.add_argument("--alpha", type=float, default=1.0,
-                           help="coupling strength alpha > 0 (default 1)")
-        else:
-            p.add_argument("-d", "--dim", type=int, default=None)
-            p.add_argument("--mu", type=float, default=None)
-            p.add_argument("--alpha", type=float, default=None)
+    for p in (table, eigen):
+        p.add_argument("-d", "--dim", type=int, required=True,
+                       help="space dimension d >= 2")
+        p.add_argument("--mu", type=float, required=True,
+                       help="potential exponent, 0 < mu < 2")
+        p.add_argument("--alpha", type=float, default=1.0,
+                       help="coupling strength alpha > 0 (default 1)")
+    verify.add_argument("-d", "--dim", type=int, default=None)
+    verify.add_argument("--mu", type=float, default=None)
+    verify.add_argument("--alpha", type=float, default=None)
+    for p in (table, eigen, verify):
         p.add_argument("--lmax", type=int, default=None,
                        help="largest angular momentum")
-        p.add_argument("--numeric", action="store_true",
-                       help="run the numerical pipeline cross-check")
-        p.add_argument("--tol-phase", type=float, default=TOL_PHASE,
-                       help="phase comparison tolerance in radians")
         p.add_argument("--format", choices=("json", "csv", "human"),
                        default="human")
         p.add_argument("--out", default=None, help="output path (default stdout)")
+    for command, p in (("phase-table", table), ("verify", verify)):
+        p.add_argument("--numeric", action="store_true",
+                       help="run the numerical pipeline cross-check")
         p.add_argument("--config", default=None,
-                       help="key = value file overriding the built-in grid")
+                       help="key = value file setting "
+                            + ", ".join(CONFIG_KEYS[command]))
+    for p in (table, eigen):
         p.add_argument("--degrees", action="store_true",
                        help="show angles in degrees (human format only)")
-
-    add_common(sub.add_parser("phase-table", help="tail phase/amplitude table"),
-               need_params=True)
-    add_common(sub.add_parser("eigenvalues", help="S(0) eigenvalue table"),
-               need_params=True)
-    add_common(sub.add_parser("verify", help="route-agreement and sweep checks"),
-               need_params=False)
     return parser
 
 
 def _resolve(args) -> RunConfig:
-    overrides = _load_config(args.config) if args.config else {}
+    config = getattr(args, "config", None)
+    overrides = _load_config(config, CONFIG_KEYS[args.command]) if config else {}
     grid = {**DEFAULT_GRID, **overrides}
-    tol_phase = overrides.get("tol_phase", args.tol_phase)
+    tol_phase = overrides.get("tol_phase", TOL_PHASE)
     cfg = RunConfig(
         params=None,
         l_max=0,
-        numeric=args.numeric,
-        rtol=overrides.get("rtol"),
+        numeric=getattr(args, "numeric", False),
         tol_phase=tol_phase,
         # amplitude tolerance tracks the phase tolerance unless overridden
         tol_amp=overrides.get("tol_amp", tol_phase),
         tol_route=overrides.get("tol_route", TOL_ROUTE),
         fmt=args.format,
         out=args.out,
-        degrees=args.degrees,
+        degrees=getattr(args, "degrees", False),
         grid=grid,
     )
     if args.command == "verify":
@@ -465,10 +471,6 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = _resolve(args)
-    except (ParameterError, ValueError, OSError) as exc:
-        print(f"zescat: error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
         if args.command == "phase-table":
             return cmd_phase_table(cfg)
         if args.command == "eigenvalues":
@@ -477,7 +479,8 @@ def main(argv=None) -> int:
     except NumericRouteError as exc:
         print(f"zescat: numeric route failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParameterError, ValueError) as exc:
+    # OSError: an unreadable --config or unwritable --out path
+    except (ParameterError, ValueError, OSError) as exc:
         print(f"zescat: error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

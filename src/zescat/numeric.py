@@ -144,14 +144,14 @@ def default_match_radius(ch: Channel) -> float:
     return r0
 
 
-def default_theta_window(ch: Channel) -> tuple[float, float]:
+def default_theta_window(ch: Channel, r0: float) -> tuple[float, float]:
     """Fit window in the oscillation variable theta = b r^((2-mu)/2).
 
     Starts at max(50, nu_tilde^2) so the damped-sinusoid fit converges,
-    and in any case a factor 5 beyond the seed position (for mu close to 2
+    and in any case a factor 5 beyond the seed radius r0 (for mu close to 2
     the seed itself sits at theta of order 1/(2-mu)); spans a factor 2.
     """
-    theta_seed = ch.b * default_match_radius(ch) ** ch.sigma
+    theta_seed = ch.b * r0 ** ch.sigma
     theta_lo = max(_MIN_WINDOW_THETA, ch.nu_tilde ** 2, 5.0 * theta_seed)
     return theta_lo, max(300.0, 2.0 * theta_lo)
 
@@ -538,22 +538,18 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     )
 
 
-def solve_channel(ch: Channel, rtol: float | None = None,
-                  ) -> tuple[RadialSolutionSample, TailFit]:
+def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
     """Run the full pipeline for one channel with the default policies.
 
     Seeds at :func:`default_match_radius`, integrates to the end of the
     fit window from :func:`default_theta_window`, and extracts (C, D). The
-    integrator tolerance defaults to :func:`default_rtol` of the window
-    end.
+    integrator tolerance is always :func:`default_rtol` of the window end.
     """
-    window = default_theta_window(ch)
-    if rtol is None:
-        rtol = default_rtol(window[1])
     r0 = default_match_radius(ch)
+    window = default_theta_window(ch, r0)
     seed = frobenius_seed(ch, r0)
     grid = _sample_grid(ch, r0, window)
-    sample = integrate_radial(ch, seed, grid, tol=rtol)
+    sample = integrate_radial(ch, seed, grid, tol=default_rtol(window[1]))
     fit = extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
     return sample, fit
 

@@ -2,11 +2,16 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
 from zescat import closedform
-from zescat.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, EXIT_TOLERANCE, main
+from zescat.cli import (CONFIG_KEYS, EXIT_INVALID, EXIT_NUMERIC, EXIT_OK,
+                        EXIT_TOLERANCE, _build_parser, _load_config, main)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _run(capsys, argv):
@@ -37,6 +42,42 @@ class TestExitCodes:
         code, _, _ = _run(capsys, ["eigenvalues", "-d", "3", "--mu", "1.0",
                                    "--frequency", "7"])
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("argv, config", [
+        (["eigenvalues", "--numeric"], None),
+        (["eigenvalues", "--config"], "tol_phase = 1e-4"),
+        (["eigenvalues", "--tol-phase", "1e-4"], None),
+        (["verify", "--degrees"], None),
+        (["phase-table", "--tol-phase", "1e-4"], None),
+        # phase-table reads only the tolerances, never the verify grid
+        (["phase-table", "--config"], "dims = 3"),
+    ])
+    def test_option_the_command_does_not_read(self, capsys, tmp_path, argv,
+                                               config):
+        if argv[0] != "verify":
+            argv = argv[:1] + ["-d", "3", "--mu", "1.0", "--lmax", "1"] + argv[1:]
+        if config is not None:
+            path = tmp_path / "extra.cfg"
+            path.write_text(config)
+            argv = argv + [str(path)]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_INVALID
+        assert out == ""
+        if argv[0] == "phase-table" and config is not None:
+            assert err.count("\n") == 1 and "'dims'" in err
+
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = _run(capsys, ["phase-table", "-d", "3", "--mu", "1.0",
+                                       "--lmax", "1", "--out", str(path)])
+        assert code == EXIT_INVALID
+        assert out == "" and err.count("\n") == 1 and str(path) in err
+        # a failed computation writes no report, not even an empty file
+        path = tmp_path / "x.csv"
+        code, _, _ = _run(capsys, ["phase-table", "-d", "3", "--mu", "1.999999",
+                                   "--lmax", "0", "--numeric", "--out", str(path)])
+        assert code == EXIT_NUMERIC
+        assert not path.exists()
 
     def test_tolerance_failure_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "strict.cfg"
@@ -127,6 +168,16 @@ class TestPhaseTable:
         assert "45" in human  # pi/4 rad
         _, js, _ = _run(capsys, argv + ["--format", "json", "--degrees"])
         assert json.loads(js)["rows"][0]["D_closed"] == pytest.approx(math.pi / 4)
+
+    def test_config_sets_tolerances(self, capsys, tmp_path):
+        cfg = tmp_path / "strict.cfg"
+        cfg.write_text("tol_phase = 1e-30\n")
+        code, out, _ = _run(capsys, ["phase-table", "-d", "2", "--mu", "1.0",
+                                     "--lmax", "0", "--numeric", "--config",
+                                     str(cfg), "--format", "json"])
+        assert code == EXIT_TOLERANCE
+        # the amplitude tolerance follows the phase tolerance
+        assert json.loads(out)["config"]["tol_amp"] == 1e-30
 
 
 class TestEigenvalues:
@@ -225,21 +276,39 @@ class TestVerify:
         code, _, err = _run(capsys, ["verify", "--config", str(cfg)])
         assert code == EXIT_INVALID
         assert "nonsense_key" in err
-        # checked on load, so it never reaches the numeric route (exit 3)
-        for rtol in ("0", "1e-30"):  # 1e-30 is below double rounding
+        # the integrator tolerance is no setting; a leftover rtol key is
+        # rejected on load like any other unknown key
+        for rtol in ("0", "1e-30"):
             cfg.write_text(f"rtol = {rtol}\n")
             code, _, err = _run(capsys, ["verify", "--numeric", "--config", str(cfg)])
             assert code == EXIT_INVALID
             assert "rtol" in err
+        # out of range: an empty sweep would pass, a NaN tolerance never can
+        for line in ("lmax = -1", "lmax_identity = -1", "tol_route = nan",
+                     "tol_phase = 0", "tol_amp = inf"):
+            cfg.write_text(line + "\n")
+            code, out, err = _run(capsys, ["verify", "--numeric", "--config",
+                                           str(cfg)])
+            assert code == EXIT_INVALID
+            assert out == "" and line.split()[0] in err
 
-    def test_integrator_tolerance_override(self, capsys, tmp_path):
-        cfg = tmp_path / "rtol.cfg"
-        cfg.write_text(
-            "dims = 2\nmus = 1.0\nalphas = 1.0\nlmax = 0\n"
-            "lmax_identity = 0\nrtol = 1e-8\n"
-        )
-        code, out, _ = _run(capsys, ["verify", "--numeric", "--config",
-                                     str(cfg), "--format", "json"])
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert payload["summary"]["max_abs_dD"] <= 1e-4
+
+class TestReadme:
+    def _section_blocks(self):
+        text = README.read_text(encoding="utf-8")
+        section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        return section.split("```")[1::2]
+
+    def test_command_lines_parse(self):
+        commands = [shlex.split(line.split("#", 1)[0])[1:]
+                    for line in self._section_blocks()[0].splitlines()
+                    if line.startswith("zescat ")]
+        assert len(commands) >= 3
+        parser = _build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
+
+    def test_config_example_loads(self, tmp_path):
+        path = tmp_path / "example.cfg"
+        path.write_text(self._section_blocks()[1], encoding="utf-8")
+        assert _load_config(str(path), CONFIG_KEYS["verify"])

@@ -271,7 +271,7 @@ class TestPipeline:
         seed = frobenius_seed(ch, r0)
         seed2 = dataclasses.replace(seed, seed_value=2.0 * seed.seed_value,
                                     seed_derivative=2.0 * seed.seed_derivative)
-        window = default_theta_window(ch)
+        window = default_theta_window(ch, r0)
         grid = _sample_grid(ch, r0, window)
         fits = []
         for s in (seed, seed2):
