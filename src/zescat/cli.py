@@ -107,20 +107,21 @@ def _load_config(path: str, keys) -> dict:
             if key not in keys:
                 raise ValueError(f"{where}: unknown key {key!r} "
                                  f"(expected one of {', '.join(keys)})")
-            if key in int_list_keys:
-                overrides[key] = tuple(int(v) for v in value.split(","))
-            elif key in float_list_keys:
-                overrides[key] = tuple(float(v) for v in value.split(","))
-            elif key in int_keys:
-                overrides[key] = int(value)
-                if overrides[key] < 0:
-                    raise ValueError(f"{where}: {key} must be >= 0, got {value}")
-            else:
-                overrides[key] = float(value)
-                # a NaN tolerance fails every comparison, so no result meets it
-                if not (math.isfinite(overrides[key]) and overrides[key] > 0.0):
-                    raise ValueError(f"{where}: {key} must be finite and > 0, "
-                                     f"got {value}")
+            is_list = key in int_list_keys | float_list_keys
+            convert = int if key in int_keys | int_list_keys else float
+            try:
+                parsed = (tuple(map(convert, value.split(","))) if is_list
+                          else convert(value))
+            except ValueError:
+                raise ValueError(f"{where}: malformed value {value!r} for {key}") from None
+            if key in int_keys and parsed < 0:
+                raise ValueError(f"{where}: {key} must be >= 0, got {value}")
+            # a NaN tolerance fails every comparison, so no result meets it
+            if (convert is float and not is_list
+                    and not (math.isfinite(parsed) and parsed > 0.0)):
+                raise ValueError(f"{where}: {key} must be finite and > 0, "
+                                 f"got {value}")
+            overrides[key] = parsed
     return overrides
 
 

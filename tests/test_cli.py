@@ -291,6 +291,13 @@ class TestVerify:
                                            str(cfg)])
             assert code == EXIT_INVALID
             assert out == "" and line.split()[0] in err
+        # a malformed value names the file, the line and the key
+        for line in ("dims = 3,", "lmax = two", "tol_route = 1e-x"):
+            cfg.write_text("# comment\n" + line + "\n")
+            code, out, err = _run(capsys, ["verify", "--config", str(cfg)])
+            assert code == EXIT_INVALID
+            assert out == "" and err.count("\n") == 1
+            assert f"{cfg}:2" in err and line.split()[0] in err
 
 
 class TestReadme:

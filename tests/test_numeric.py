@@ -24,6 +24,7 @@ from zescat import (
     solve_channel,
 )
 from zescat.numeric import (
+    _kummer_coefficients,
     _radius_at,
     _sample_grid,
     default_match_radius,
@@ -189,6 +190,11 @@ class TestIntegrateRadial:
             integrate_radial(ch, bad, np.geomspace(1e-2, 1.0, 8), tol=1e-10)
 
 
+# nu_tilde = 1/2, so q = 1 and the pure sinusoid is an exact solution of the
+# fit model (validation bypass: mu = 0 only through a hand-built channel)
+SINUSOID_CHANNEL = Channel(d=3, mu=0.0, alpha=1.0, l=0)
+
+
 def _synthetic_sample(ch, amplitude, phase, theta_lo=60.0, periods=20, n=4000):
     theta = np.linspace(theta_lo, theta_lo + periods * 2.0 * math.pi, n)
     r = (theta / ch.b) ** (1.0 / ch.sigma)
@@ -197,9 +203,35 @@ def _synthetic_sample(ch, amplitude, phase, theta_lo=60.0, periods=20, n=4000):
                                 n_steps=0, n_rejected=0, max_error_estimate=0.0)
 
 
+class TestKummerCoefficients:
+    def test_leading_coefficients(self):
+        for nu_tilde in (0.0, 3.0, 150.0):
+            a = _kummer_coefficients(nu_tilde)
+            assert a[0] == 1.0
+            assert a[1] == pytest.approx(-(nu_tilde ** 2 - 0.25) / 2.0, rel=1e-15)
+
+    def test_half_order_is_pure_sinusoid(self):
+        # nu_tilde = 1/2: q = 1, so y = 1 and Phi = theta exactly
+        assert np.all(_kummer_coefficients(0.5)[1:] == 0.0)
+
+    @pytest.mark.parametrize("nu_tilde", [0.0, 0.5, 12.0, 150.0, 2000.0])
+    def test_defining_equation_residual(self, nu_tilde):
+        # y^2 = q + (3/4)(y'/y)^2 - (1/2) y''/y at the default window start,
+        # theta = 5 nu_tilde (at least 20), with y and its derivatives
+        # summed term by term from the coefficients
+        a = _kummer_coefficients(nu_tilde)
+        theta = max(20.0, 5.0 * nu_tilde)
+        y = math.fsum(a[k] * theta ** (-2 * k) for k in range(a.size))
+        dy = math.fsum(-2 * k * a[k] * theta ** (-2 * k - 1) for k in range(a.size))
+        d2y = math.fsum(2 * k * (2 * k + 1) * a[k] * theta ** (-2 * k - 2)
+                        for k in range(a.size))
+        q = 1.0 - (nu_tilde ** 2 - 0.25) / theta ** 2
+        assert abs(y * y - q - 0.75 * (dy / y) ** 2 + 0.5 * d2y / y) <= 1e-12
+
+
 class TestExtractPhaseAmplitude:
     def test_exact_model_recovered(self):
-        ch = _channel(2, 1.0, 1.0, 0)
+        ch = SINUSOID_CHANNEL
         sample = _synthetic_sample(ch, 3.0, 0.7)
         fit = extract_phase_amplitude(ch, sample, (sample.r[0], sample.r[-1]))
         assert fit.phase_amplitude.amplitude_C == pytest.approx(3.0, abs=1e-12)
@@ -213,7 +245,7 @@ class TestExtractPhaseAmplitude:
         assert fit.residual_rms < 1e-12 * 1e200
 
     def test_window_errors(self):
-        ch = _channel(2, 1.0, 1.0, 0)
+        ch = SINUSOID_CHANNEL
         sample = _synthetic_sample(ch, 1.0, 0.1)
         r_of = lambda th: (th / ch.b) ** (1.0 / ch.sigma)
         with pytest.raises(FitWindowError):  # not deep oscillatory
@@ -227,7 +259,7 @@ class TestExtractPhaseAmplitude:
             extract_phase_amplitude(ch, sparse, (sample.r[0], sample.r[-1]))
 
     def test_residual_tolerance_enforced(self):
-        ch = _channel(2, 1.0, 1.0, 0)
+        ch = SINUSOID_CHANNEL
         sample = _synthetic_sample(ch, 1.0, 0.3)
         rng = np.random.default_rng(11)
         noisy = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-3 * rng.standard_normal(sample.f.shape)))
@@ -298,6 +330,31 @@ class TestPipeline:
             assert abs(circular_difference(fit2.phase_amplitude.phase_D,
                                            fit.phase_amplitude.phase_D)) * c <= allowance
 
+    @pytest.mark.parametrize("d, mu, alpha, l", [
+        (3, 1.0, 1.0, 1),     # nu_tilde 3
+        (4, 1.5, 0.5, 2),     # nu_tilde 12
+        (5, 1.9, 0.5, 0),     # nu_tilde 30
+    ])
+    def test_far_window_reference_agrees(self, d, mu, alpha, l):
+        # closed-form-free check of the Kummer basis: a march out to the far
+        # window theta in [nu_tilde^2, 2 nu_tilde^2] (at least [50, 100]),
+        # through the same public stages, must give the (C, D) of the
+        # default window near 5 nu_tilde. A wrong a_k moves Phi by a
+        # different amount in the two windows. The reference runs at
+        # tol = 1e-12 so that its own integration error stays near 1e-10.
+        ch = _channel(d, mu, alpha, l)
+        _, fit = solve_channel(ch)
+        r0 = default_match_radius(ch)
+        theta_lo = max(50.0, ch.nu_tilde ** 2)
+        grid = _sample_grid(ch, r0, (theta_lo, 2.0 * theta_lo))
+        sample = integrate_radial(ch, frobenius_seed(ch, r0), grid, tol=1e-12)
+        far = extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
+        assert far.theta_lo > fit.theta_hi     # the windows do not overlap
+        c = fit.phase_amplitude.amplitude_C
+        assert far.phase_amplitude.amplitude_C == pytest.approx(c, rel=1e-8)
+        assert abs(circular_difference(far.phase_amplitude.phase_D,
+                                       fit.phase_amplitude.phase_D)) <= 1e-8
+
     def test_sample_density_near_endpoint(self):
         ch = _channel(3, 1.0, 1.0, 0)
         sample, _ = solve_channel(ch)
@@ -326,3 +383,22 @@ class TestPipeline:
         r0 = (20.0 / ch.b) ** (1.0 / ch.sigma)  # oscillation coordinate 20
         with pytest.raises(ValueError, match="cancellation"):
             frobenius_seed(ch, r0)
+
+
+class TestCost:
+    """Deterministic cost guards: accepted integrator steps, not time."""
+
+    @pytest.mark.parametrize("d, alpha, l_30, l_150", [(5, 0.5, 0, 6), (3, 4.0, 1, 7)])
+    def test_steps_grow_linearly_in_nu_tilde(self, d, alpha, l_30, l_150):
+        # mu = 1.9: nu_tilde = 30 at l_30 and 150 at l_150; linear growth
+        # gives a step ratio near 5, quadratic growth 25. (5, 1.9, 0.5, 6)
+        # is the sweep's hardest channel, where a march over theta up to
+        # 2 nu_tilde^2 took 2,588,792 steps.
+        steps = []
+        for l in (l_30, l_150):
+            ch = _channel(d, 1.9, alpha, l)
+            sample, _ = solve_channel(ch)
+            steps.append(sample.n_steps)
+        assert ch.nu_tilde == pytest.approx(150.0)
+        assert steps[1] <= 100_000
+        assert steps[1] / steps[0] <= 8.0
