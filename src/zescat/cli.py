@@ -449,6 +449,8 @@ def _resolve(args) -> RunConfig:
         if args.alpha is not None:
             grid["alphas"] = (args.alpha,)
         if args.lmax is not None:
+            if args.lmax < 0:
+                raise ParameterError(f"lmax must be >= 0, got {args.lmax}")
             grid["lmax"] = args.lmax
             grid["lmax_identity"] = args.lmax
         # constructing params validates user-supplied values early

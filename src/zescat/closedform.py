@@ -76,9 +76,11 @@ def _prefactor(ch: Channel, extra_half_power: bool,
     """Gamma(nt+1) * base^p with base = (2-mu)/sqrt(alpha), p = nt (+ 1/2).
 
     ``base`` overrides the power base (the diagnostic variant amplitude
-    uses another). Evaluated directly while Gamma stays in range, through
-    logs otherwise. Raises OverflowError once the value itself leaves
-    double range.
+    uses another). Evaluated directly while Gamma stays in range. Above
+    that, Gamma(nt+1) = Gamma(y) prod_{i<m} (y+i) with y = nt+1-m in range,
+    and the product Gamma(y) base^(p-m) prod_{i<m} (y+i) base is carried as
+    a mantissa and a binary exponent, so no partial product leaves double
+    range. Raises OverflowError once the value itself leaves double range.
     """
     nt = ch.nu_tilde
     if base is None:
@@ -92,7 +94,17 @@ def _prefactor(ch: Channel, extra_half_power: bool,
         )
     if nt + 1.0 <= _GAMMA_OVERFLOW_X:
         return gamma_kernel(nt + 1.0) * base ** p
-    return math.exp(log_pref)
+    m = math.ceil(nt + 1.0 - _GAMMA_OVERFLOW_X)
+    y = nt + 1.0 - m
+    # base^(p-m) = mb^k base^f 2^(eb k) with p-m = k + f, base = mb 2^eb
+    k, f = divmod(p - m, 1.0)
+    mb, eb = math.frexp(base)
+    mant, expo = math.frexp(gamma_kernel(y) * mb ** k * base ** f)
+    expo += eb * int(k)
+    for i in range(m):
+        mant, e = math.frexp(mant * ((y + i) * base))
+        expo += e
+    return math.ldexp(mant, expo)
 
 
 def _validated_radii(r) -> np.ndarray:

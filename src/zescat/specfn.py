@@ -1,16 +1,20 @@
 """Real-order special functions: Gamma and the Bessel function J_nu.
 
 Gamma comes from the standard library; the Bessel evaluator is
-self-contained (no external special-function library). Accuracy, as the
-tests check it against mpmath:
+self-contained (no external special-function library) and evaluates a
+whole argument array in numpy, choosing a regime per point by masks:
+ascending series, Hankel expansion, upward recurrence from Hankel seeds,
+and backward (Miller) recurrence, in that order (see
+:mod:`zescat._kernels`). Accuracy, as the tests check it against mpmath:
 
 * ``gamma``: relative error below 1e-14 on [1e-6, 171.5]; above 171.624
   Gamma leaves the double range and ``gamma`` raises OverflowError.
 * ``log_gamma``: error below 2e-15 max(1, |log Gamma(x)|) on [1e-3, 1e6].
-* ``bessel_j``: relative error below 1e-10 away from zeros and absolute
-  error below 1e-10 near zeros, for orders in [0, 60] and arguments in
-  [0, 1e4]. Larger orders are supported; the series regime (argument below
-  the order) retains full accuracy there.
+* ``bessel_j``: error below 1e-10 max(|J|, envelope), where the envelope
+  is sqrt(2/(pi s)) for s above the order and 0 below it, for orders in
+  [0, 60] and arguments in [0, 1e4], and for the orders up to 150 that the
+  verification sweep reaches. Larger orders are supported; the series
+  regime (argument below the order) retains full accuracy there.
 
 All functions are pure and thread-safe.
 """
@@ -85,11 +89,14 @@ def log_gamma(x: float) -> float:
 def bessel_j(order, s):
     """Bessel function of the first kind, J_nu(s), real order nu >= 0.
 
-    The evaluator switches between the ascending power series (kept only
-    while its internal cancellation stays bounded), the large-argument
-    modulus/phase expansion, and a backward-recurrence scheme with a
-    Neumann-series normalization for the transition region around the
-    turning point s ~ nu.
+    Each point takes the first regime that holds for it: the ascending
+    power series (s <= 12 or s <= nu, kept only while its cancellation
+    stays bounded); the large-argument modulus/phase expansion at order nu
+    (s >= 30, kept once its terms reach rounding); for s >= 30 and s > nu,
+    upward recurrence from that expansion at orders frac(nu) and
+    frac(nu) + 1, which costs floor(nu) steps; and otherwise a backward
+    (Miller) recurrence with a Neumann-series normalization. A point's
+    value does not depend on the other points of ``s``.
 
     Parameters
     ----------

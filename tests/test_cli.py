@@ -38,6 +38,15 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "mu" in err
 
+    @pytest.mark.parametrize("command", ["verify", "phase-table"])
+    def test_negative_lmax_names_the_option(self, capsys, command):
+        argv = [command, "--lmax", "-1"]
+        if command != "verify":
+            argv += ["-d", "3", "--mu", "1.0"]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_INVALID
+        assert out == "" and err == "zescat: error: lmax must be >= 0, got -1\n"
+
     def test_unknown_flag(self, capsys):
         code, _, _ = _run(capsys, ["eigenvalues", "-d", "3", "--mu", "1.0",
                                    "--frequency", "7"])

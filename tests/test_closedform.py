@@ -1,5 +1,6 @@
 """Closed-form radial solution: normalization, amplitude, phase, residuals."""
 
+import csv
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from zescat import (
     make_channel,
     reduce_angle,
 )
+from zescat.cli import EXIT_OK, main
 
 from oracles import bessel_j_series_only, bisect_root
 
@@ -153,6 +155,27 @@ class TestAmplitude:
             via_bessel = (gamma(ch.nu_tilde + 1.0) * (2.0 / ch.b) ** ch.nu_tilde
                           * math.sqrt(2.0 / (math.pi * ch.b)))
             assert closed_form_amplitude(ch) == pytest.approx(via_bessel, rel=1e-12)
+
+    def test_phase_table_amplitudes_match_mpmath(self, tmp_path):
+        # d=5, mu=1.9, alpha=1: nu_tilde = 20 l + 30 and (2-mu)/sqrt(alpha)
+        # is exact in binary; rows l = 8..13 have nu_tilde + 1 past 171.624,
+        # where Gamma(nu_tilde + 1) alone leaves double range
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "table.csv"
+        assert main(["phase-table", "-d", "5", "--mu", "1.9", "--alpha", "1.0",
+                     "--lmax", "200", "--format", "csv", "--out", str(out)]) == EXIT_OK
+        with out.open(newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["C_closed"]]
+        past_gamma = 0
+        with mpmath.workdps(30):
+            base = 2 - mpmath.mpf(1.9)
+            for row in rows:
+                nt = float(row["nu_tilde"])
+                ref = (mpmath.gamma(mpmath.mpf(nt) + 1) * base ** (mpmath.mpf(nt) + 0.5)
+                       / mpmath.sqrt(mpmath.pi))
+                assert abs(float(row["C_closed"]) - ref) <= 2.5e-14 * ref, row
+                past_gamma += nt + 1.0 > 171.624
+        assert len(rows) == 14 and past_gamma == 6
 
     def test_variant_reading_differs_when_nu_not_mu(self):
         ch = _channel(3, 1.0, 1.0, 0)  # nu = 0.5 != mu = 1

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zescat import bessel_j, bessel_j_asymptotic, gamma, log_gamma
+from zescat import _kernels, bessel_j, bessel_j_asymptotic, gamma, log_gamma
 
 from oracles import bessel_j_series_only, bisect_root, gamma_half_integer
 
@@ -64,6 +64,28 @@ _GAMMA_REFERENCE = (
     (120.7, 1.5894968726397397e+198),
     (171.0, 7.257415615307999e+306),
 )
+
+
+# The four Bessel regimes, by the helper that evaluates each.
+_REGIMES = ("_bessel_series", "_bessel_hankel", "_bessel_upward", "_bessel_miller")
+
+
+@pytest.fixture
+def regime_calls(monkeypatch):
+    """Record (helper, order, arguments) of every call of a regime helper."""
+    calls = []
+    for name in _REGIMES:
+        def spy(nu, s, _name=name, _fn=getattr(_kernels, name)):
+            calls.append((_name, nu, np.array(s, copy=True)))
+            return _fn(nu, s)
+        monkeypatch.setattr(_kernels, name, spy)
+    return calls
+
+
+def _envelope_unit(nu, s, ref):
+    """max(|J|, sqrt(2/(pi s)) where s > nu): the scale of the accuracy claim."""
+    envelope = math.sqrt(2.0 / (math.pi * s)) if s > nu else 0.0
+    return max(abs(ref), envelope)
 
 
 class TestGamma:
@@ -212,12 +234,59 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel_j(1.0, np.array([1.0, -2.0]))
 
-    def test_array_evaluation_matches_scalar(self):
-        s = np.geomspace(1e-3, 5000.0, 40)
-        vec = bessel_j(2.5, s)
-        assert vec.shape == s.shape
-        for si, vi in zip(s, vec):
-            assert vi == bessel_j(2.5, float(si))
+    def test_array_evaluation_matches_scalar(self, regime_calls):
+        # s spans [nu/10, nu^2] (at least [1e-3, 5000]), so each order
+        # crosses every regime its argument range reaches
+        for nu in (0.0, 2.5, 37.3, 150.0):
+            s = np.geomspace(max(nu / 10.0, 1e-3), max(nu * nu, 5000.0), 80)
+            vec = bessel_j(nu, s)
+            assert vec.shape == s.shape
+            for si, vi in zip(s, vec):
+                assert vi == bessel_j(nu, float(si))
+        assert {name for name, _, _ in regime_calls} == set(_REGIMES)
+
+    def test_backward_recurrence_only_below_30_or_the_order(self, regime_calls):
+        # The transition band s in (nu, nu^2/4) goes up from Hankel seeds in
+        # floor(nu) steps; a backward sweep there would start at s + 40.
+        for nu in (0.0, 2.5, 14.2, 37.3, 60.0, 150.0):
+            bessel_j(nu, np.geomspace(max(nu / 10.0, 0.05), max(4.0 * nu * nu, 1e4), 300))
+        seen = {name for name, _, _ in regime_calls}
+        assert "_bessel_miller" in seen and "_bessel_upward" in seen
+        for name, nu, s in regime_calls:
+            if name == "_bessel_miller":
+                assert not np.any((s >= 30.0) & (s > nu)), (nu, s)
+            elif name == "_bessel_upward":
+                assert np.all((s >= 30.0) & (s > nu)), (nu, s)
+
+    def test_matches_mpmath_over_envelope(self, regime_calls):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+
+        def log_uniform(lo, hi, n):
+            return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+        points = []
+        for nu in rng.uniform(0.0, 60.0, 12):
+            # series, Hankel, and Miller between 12 and 30
+            points += [(nu, s) for s in log_uniform(1e-3, max(12.0, nu), 3)]
+            points += [(nu, s) for s in log_uniform(max(30.0, nu * nu / 4.0), 1e4, 3)]
+            points += [(nu, s) for s in rng.uniform(12.0, 30.0, 2) if s > nu]
+            if nu * nu / 4.0 > max(30.0, nu):
+                # upward recurrence between the order and the Hankel band
+                points += [(nu, s) for s in log_uniform(max(30.0, nu), nu * nu / 4.0, 3)]
+        for nu in (37.3, 60.0, 150.0):
+            # just above the order, near nu^2/4, and below the order where
+            # the series fails its cancellation guard (Miller from s >= 30)
+            points += [(nu, nu + ds) for ds in (1e-6, 0.3, 2.0)]
+            points += [(nu, nu * nu / 4.0 * f) for f in (0.9, 1.0, 1.1)]
+            points += [(nu, nu * f) for f in (0.4, 0.6, 0.8, 0.97)]
+        points += [(150.0, 54.7), (150.0, 1e4), (0.0, 2.404825557695773)]
+        with mpmath.workdps(30):
+            for nu, s in points:
+                ref = float(mpmath.besselj(mpmath.mpf(float(nu)), mpmath.mpf(float(s))))
+                err = abs(bessel_j(nu, s) - ref) / _envelope_unit(nu, s, ref)
+                assert err <= 1e-10, (nu, s, err)
+        assert {name for name, _, _ in regime_calls} == set(_REGIMES)
 
 
 class TestBesselAsymptotic:
