@@ -29,7 +29,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 
 from . import closedform, numeric, smatrix
 from .channels import ParameterError, PotentialParams, make_channel
@@ -55,10 +54,14 @@ DEFAULT_GRID = {
 }
 TOL_ROUTE = 1e-12
 TOL_PHASE = 1e-4
+# every config key with its default, whose type a config value is parsed
+# to; the amplitude tolerance tracks the phase tolerance unless it is set
+_DEFAULTS = {**DEFAULT_GRID, "tol_phase": TOL_PHASE, "tol_amp": TOL_PHASE,
+             "tol_route": TOL_ROUTE}
 # the config keys each command reads; any other key is invalid input
 CONFIG_KEYS = {
     "phase-table": ("tol_phase", "tol_amp"),
-    "verify": (*DEFAULT_GRID, "tol_phase", "tol_amp", "tol_route"),
+    "verify": tuple(_DEFAULTS),
 }
 
 
@@ -66,33 +69,10 @@ class NumericRouteError(Exception):
     """The numeric route failed on a valid channel (exit code 3)."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved options for one command invocation."""
-
-    params: PotentialParams | None
-    l_max: int
-    numeric: bool
-    tol_phase: float
-    tol_amp: float
-    tol_route: float
-    fmt: str
-    out: str | None
-    degrees: bool
-    grid: dict = field(default_factory=dict)
-
-
-def _repr_float(x) -> str:
-    return repr(float(x))
-
-
 def _load_config(path: str, keys) -> dict:
     """Parse a simple ``key = value`` override file (comma-separated lists)
     that may set only ``keys``."""
     overrides: dict = {}
-    int_keys = {"lmax", "lmax_identity"}
-    int_list_keys = {"dims", "identity_dims"}
-    float_list_keys = {"mus", "alphas", "identity_mus"}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -107,14 +87,15 @@ def _load_config(path: str, keys) -> dict:
             if key not in keys:
                 raise ValueError(f"{where}: unknown key {key!r} "
                                  f"(expected one of {', '.join(keys)})")
-            is_list = key in int_list_keys | float_list_keys
-            convert = int if key in int_keys | int_list_keys else float
+            default = _DEFAULTS[key]
+            is_list = isinstance(default, tuple)
+            convert = type(default[0] if is_list else default)
             try:
                 parsed = (tuple(map(convert, value.split(","))) if is_list
                           else convert(value))
             except ValueError:
                 raise ValueError(f"{where}: malformed value {value!r} for {key}") from None
-            if key in int_keys and parsed < 0:
+            if convert is int and not is_list and parsed < 0:
                 raise ValueError(f"{where}: {key} must be >= 0, got {value}")
             # a NaN tolerance fails every comparison, so no result meets it
             if (convert is float and not is_list
@@ -129,13 +110,6 @@ def _load_config(path: str, keys) -> dict:
 # output formatting
 # ---------------------------------------------------------------------
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
 def _format_csv(columns, rows) -> str:
     lines = [",".join(columns)]
     for row in rows:
@@ -145,16 +119,11 @@ def _format_csv(columns, rows) -> str:
             if v is None:
                 cells.append("")
             elif isinstance(v, float):
-                cells.append(_repr_float(v))
+                cells.append(repr(float(v)))
             else:
                 cells.append(str(v))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def _format_json(config: dict, rows, summary: dict) -> str:
-    return json.dumps({"config": config, "rows": rows, "summary": summary},
-                      indent=2) + "\n"
 
 
 def _format_human(title: str, config: dict, columns, rows, summary: dict,
@@ -187,21 +156,43 @@ def _format_human(title: str, config: dict, columns, rows, summary: dict,
     return "\n".join(lines) + "\n"
 
 
-def _render(cfg: RunConfig, title: str, config: dict, columns, rows,
-            summary: dict, angle_columns=()) -> None:
-    if cfg.fmt == "json":
-        text = _format_json(config, rows, summary)
-    elif cfg.fmt == "csv":
+def _render(args, title: str, config: dict, columns, rows, summary: dict,
+            angle_columns=()) -> None:
+    """Write the report in ``args.format`` to ``args.out`` or stdout."""
+    if args.format == "json":
+        text = json.dumps({"config": config, "rows": rows, "summary": summary},
+                          indent=2) + "\n"
+    elif args.format == "csv":
         text = _format_csv(columns, rows)
     else:
         text = _format_human(title, config, columns, rows, summary,
-                             cfg.degrees, angle_columns)
-    _emit(text, cfg.out)
+                             getattr(args, "degrees", False), angle_columns)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 # ---------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------
+
+def _lmax(args, default):
+    """``--lmax`` or ``default``; phase-table and eigenvalues call this after
+    validating their parameters, verify before validating its grid."""
+    if args.lmax is None:
+        return default
+    if args.lmax < 0:
+        raise ParameterError(f"lmax must be >= 0, got {args.lmax}")
+    return args.lmax
+
+
+def _tolerances(conf: dict) -> tuple[float, float]:
+    """(tol_phase, tol_amp); tol_amp tracks tol_phase unless it is set."""
+    tol_phase = conf.get("tol_phase", TOL_PHASE)
+    return tol_phase, conf.get("tol_amp", tol_phase)
+
 
 def _closed_columns(ch) -> dict:
     """Closed-form D and C of ``ch``; C is None once it leaves double range."""
@@ -237,49 +228,49 @@ def _numeric_columns(ch, closed: dict) -> dict:
     }
 
 
-def _phase_table_rows(cfg: RunConfig):
-    params = cfg.params
+def _worst_deviations(rows) -> tuple[float, float]:
+    """Largest abs_dD and rel_dC over ``rows`` (0 if none), skipping None."""
+    return (max([0.0, *(row["abs_dD"] for row in rows)]),
+            max([0.0, *(row["rel_dC"] for row in rows
+                        if row["rel_dC"] is not None)]))
+
+
+def cmd_phase_table(args, conf: dict) -> int:
+    params = PotentialParams(d=args.dim, mu=args.mu, alpha=args.alpha)
+    l_max = _lmax(args, 10)
+    tol_phase, tol_amp = _tolerances(conf)
     rows = []
-    worst_phase = 0.0
-    worst_amp = 0.0
-    for l in range(cfg.l_max + 1):
+    for l in range(l_max + 1):
         ch = make_channel(params, l)
         row = {"l": l, "nu": ch.nu, "nu_tilde": ch.nu_tilde, **_closed_columns(ch)}
-        if cfg.numeric:
+        if args.numeric:
             row.update(_numeric_columns(ch, row))
-            worst_phase = max(worst_phase, row["abs_dD"])
-            if row["rel_dC"] is not None:
-                worst_amp = max(worst_amp, row["rel_dC"])
         rows.append(row)
-    return rows, worst_phase, worst_amp
-
-
-def cmd_phase_table(cfg: RunConfig) -> int:
-    rows, worst_phase, worst_amp = _phase_table_rows(cfg)
     columns = ["l", "nu", "nu_tilde", "D_closed", "C_closed"]
-    if cfg.numeric:
+    worst_phase = worst_amp = None
+    ok = True
+    if args.numeric:
         columns += ["D_numeric", "C_numeric", "abs_dD", "rel_dC",
                     "fit_residual_rms"]
-    ok = (not cfg.numeric) or (worst_phase <= cfg.tol_phase
-                               and worst_amp <= cfg.tol_amp)
+        worst_phase, worst_amp = _worst_deviations(rows)
+        ok = worst_phase <= tol_phase and worst_amp <= tol_amp
     config = {
         "command": "phase-table",
-        "d": cfg.params.d, "mu": cfg.params.mu, "alpha": cfg.params.alpha,
-        "lmax": cfg.l_max, "numeric": cfg.numeric,
-        "tol_phase": cfg.tol_phase, "tol_amp": cfg.tol_amp,
+        "d": params.d, "mu": params.mu, "alpha": params.alpha,
+        "lmax": l_max, "numeric": args.numeric,
+        "tol_phase": tol_phase, "tol_amp": tol_amp,
     }
-    summary = {"max_abs_dD": worst_phase if cfg.numeric else None,
-               "max_rel_dC": worst_amp if cfg.numeric else None,
-               "pass": ok}
-    _render(cfg, "phase table", config, columns, rows, summary,
+    summary = {"max_abs_dD": worst_phase, "max_rel_dC": worst_amp, "pass": ok}
+    _render(args, "phase table", config, columns, rows, summary,
             angle_columns=("D_closed", "D_numeric"))
     return EXIT_OK if ok else EXIT_TOLERANCE
 
 
-def cmd_eigenvalues(cfg: RunConfig) -> int:
-    params = cfg.params
+def cmd_eigenvalues(args, conf: dict) -> int:
+    params = PotentialParams(d=args.dim, mu=args.mu, alpha=args.alpha)
+    l_max = _lmax(args, 10)
     rows = []
-    for l in range(cfg.l_max + 1):
+    for l in range(l_max + 1):
         ev = smatrix.eigenvalue_via_multiplier(params, l)
         rows.append({
             "l": l,
@@ -290,15 +281,32 @@ def cmd_eigenvalues(cfg: RunConfig) -> int:
     config = {
         "command": "eigenvalues",
         "d": params.d, "mu": params.mu, "alpha": params.alpha,
-        "lmax": cfg.l_max,
+        "lmax": l_max,
     }
-    _render(cfg, "S(0) eigenvalues", config, ["l", "re", "im", "arg"],
+    _render(args, "S(0) eigenvalues", config, ["l", "re", "im", "arg"],
             rows, {"pass": True}, angle_columns=("arg",))
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    grid = cfg.grid
+def cmd_verify(args, conf: dict) -> int:
+    grid = {**DEFAULT_GRID, **conf}
+    if args.dim is not None:
+        grid["dims"] = grid["identity_dims"] = (args.dim,)
+    if args.mu is not None:
+        grid["mus"] = grid["identity_mus"] = (args.mu,)
+    if args.alpha is not None:
+        grid["alphas"] = (args.alpha,)
+    l_max = _lmax(args, None)
+    if l_max is not None:
+        grid["lmax"] = grid["lmax_identity"] = l_max
+    # constructing params validates user-supplied values early
+    for d in set(grid["dims"]) | set(grid["identity_dims"]):
+        for mu in set(grid["mus"]) | set(grid["identity_mus"]):
+            for alpha in grid["alphas"]:
+                PotentialParams(d=d, mu=mu, alpha=alpha)
+    tol_phase, tol_amp = _tolerances(conf)
+    tol_route = conf.get("tol_route", TOL_ROUTE)
+
     identity_rows = []
     max_route = 0.0
     for d in grid["identity_dims"]:
@@ -317,10 +325,8 @@ def cmd_verify(cfg: RunConfig) -> int:
             max_route = max(max_route, report.max_difference)
 
     numeric_rows = []
-    max_phase = 0.0
-    max_amp = 0.0
     max_variant = 0.0
-    if cfg.numeric:
+    if args.numeric:
         for d in grid["dims"]:
             for mu in grid["mus"]:
                 for alpha in grid["alphas"]:
@@ -340,40 +346,39 @@ def cmd_verify(cfg: RunConfig) -> int:
                             "fit_residual_rms": num["fit_residual_rms"],
                             "variant_amplitude_ratio": variant_ratio,
                         })
-                        max_phase = max(max_phase, num["abs_dD"])
-                        if num["rel_dC"] is not None:
-                            max_amp = max(max_amp, num["rel_dC"])
                         if variant_ratio is not None and ch.nu != mu:
                             max_variant = max(max_variant,
                                               abs(variant_ratio - 1.0))
 
-    ok = max_route <= cfg.tol_route
-    if cfg.numeric:
-        ok = ok and max_phase <= cfg.tol_phase and max_amp <= cfg.tol_amp
+    ok = max_route <= tol_route
+    max_phase = max_amp = None
+    if args.numeric:
+        max_phase, max_amp = _worst_deviations(numeric_rows)
+        ok = ok and max_phase <= tol_phase and max_amp <= tol_amp
     config = {
         "command": "verify",
         "identity_dims": list(grid["identity_dims"]),
         "identity_mus": list(grid["identity_mus"]),
         "lmax_identity": grid["lmax_identity"],
-        "dims": list(grid["dims"]) if cfg.numeric else None,
-        "mus": list(grid["mus"]) if cfg.numeric else None,
-        "alphas": list(grid["alphas"]) if cfg.numeric else None,
-        "lmax": grid["lmax"] if cfg.numeric else None,
-        "numeric": cfg.numeric,
-        "tol_route": cfg.tol_route,
-        "tol_phase": cfg.tol_phase, "tol_amp": cfg.tol_amp,
+        "dims": list(grid["dims"]) if args.numeric else None,
+        "mus": list(grid["mus"]) if args.numeric else None,
+        "alphas": list(grid["alphas"]) if args.numeric else None,
+        "lmax": grid["lmax"] if args.numeric else None,
+        "numeric": args.numeric,
+        "tol_route": tol_route,
+        "tol_phase": tol_phase, "tol_amp": tol_amp,
     }
     summary = {
         "max_route_diff": max_route,
-        "max_abs_dD": max_phase if cfg.numeric else None,
-        "max_rel_dC": max_amp if cfg.numeric else None,
-        "max_variant_amplitude_deviation": max_variant if cfg.numeric else None,
+        "max_abs_dD": max_phase,
+        "max_rel_dC": max_amp,
+        "max_variant_amplitude_deviation": max_variant if args.numeric else None,
         "pass": ok,
     }
     columns = ["check", "d", "mu", "alpha", "l", "re", "im", "route_diff",
                "abs_dD", "rel_dC", "fit_residual_rms",
                "variant_amplitude_ratio"]
-    _render(cfg, "verification report", config, columns,
+    _render(args, "verification report", config, columns,
             identity_rows + numeric_rows, summary)
     return EXIT_OK if ok else EXIT_TOLERANCE
 
@@ -421,64 +426,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(args) -> RunConfig:
-    config = getattr(args, "config", None)
-    overrides = _load_config(config, CONFIG_KEYS[args.command]) if config else {}
-    grid = {**DEFAULT_GRID, **overrides}
-    tol_phase = overrides.get("tol_phase", TOL_PHASE)
-    cfg = RunConfig(
-        params=None,
-        l_max=0,
-        numeric=getattr(args, "numeric", False),
-        tol_phase=tol_phase,
-        # amplitude tolerance tracks the phase tolerance unless overridden
-        tol_amp=overrides.get("tol_amp", tol_phase),
-        tol_route=overrides.get("tol_route", TOL_ROUTE),
-        fmt=args.format,
-        out=args.out,
-        degrees=getattr(args, "degrees", False),
-        grid=grid,
-    )
-    if args.command == "verify":
-        if args.dim is not None:
-            grid["dims"] = (args.dim,)
-            grid["identity_dims"] = (args.dim,)
-        if args.mu is not None:
-            grid["mus"] = (args.mu,)
-            grid["identity_mus"] = (args.mu,)
-        if args.alpha is not None:
-            grid["alphas"] = (args.alpha,)
-        if args.lmax is not None:
-            if args.lmax < 0:
-                raise ParameterError(f"lmax must be >= 0, got {args.lmax}")
-            grid["lmax"] = args.lmax
-            grid["lmax_identity"] = args.lmax
-        # constructing params validates user-supplied values early
-        for d in set(grid["dims"]) | set(grid["identity_dims"]):
-            for mu in set(grid["mus"]) | set(grid["identity_mus"]):
-                for alpha in grid["alphas"]:
-                    PotentialParams(d=d, mu=mu, alpha=alpha)
-    else:
-        cfg.params = PotentialParams(d=args.dim, mu=args.mu, alpha=args.alpha)
-        cfg.l_max = args.lmax if args.lmax is not None else 10
-        if cfg.l_max < 0:
-            raise ParameterError(f"lmax must be >= 0, got {cfg.l_max}")
-    return cfg
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
+    command = {"phase-table": cmd_phase_table, "eigenvalues": cmd_eigenvalues,
+               "verify": cmd_verify}[args.command]
     try:
-        cfg = _resolve(args)
-        if args.command == "phase-table":
-            return cmd_phase_table(cfg)
-        if args.command == "eigenvalues":
-            return cmd_eigenvalues(cfg)
-        return cmd_verify(cfg)
+        path = getattr(args, "config", None)
+        conf = _load_config(path, CONFIG_KEYS[args.command]) if path else {}
+        return command(args, conf)
     except NumericRouteError as exc:
         print(f"zescat: numeric route failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -22,6 +22,7 @@ these expressions. The independent numerical pipeline in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +77,12 @@ def _prefactor(ch: Channel, extra_half_power: bool,
     """Gamma(nt+1) * base^p with base = (2-mu)/sqrt(alpha), p = nt (+ 1/2).
 
     ``base`` overrides the power base (the diagnostic variant amplitude
-    uses another). Evaluated directly while Gamma stays in range. Above
-    that, Gamma(nt+1) = Gamma(y) prod_{i<m} (y+i) with y = nt+1-m in range,
-    and the product Gamma(y) base^(p-m) prod_{i<m} (y+i) base is carried as
-    a mantissa and a binary exponent, so no partial product leaves double
-    range. Raises OverflowError once the value itself leaves double range.
+    uses another). Evaluated directly while Gamma and base^p stay in
+    range. Otherwise Gamma(nt+1) = Gamma(y) prod_{i<m} (y+i) with y =
+    nt+1-m in range (m = 0 when only base^p underflows), and the product
+    Gamma(y) base^(p-m) prod_{i<m} (y+i) base is carried as a mantissa and
+    a binary exponent, so no partial product leaves double range. Raises
+    OverflowError once the value itself leaves double range.
     """
     nt = ch.nu_tilde
     if base is None:
@@ -93,8 +95,10 @@ def _prefactor(ch: Channel, extra_half_power: bool,
             f"(log = {log_pref:.1f}) for nu_tilde = {nt}"
         )
     if nt + 1.0 <= _GAMMA_OVERFLOW_X:
-        return gamma_kernel(nt + 1.0) * base ** p
-    m = math.ceil(nt + 1.0 - _GAMMA_OVERFLOW_X)
+        power = base ** p
+        if power >= sys.float_info.min:
+            return gamma_kernel(nt + 1.0) * power
+    m = max(0, math.ceil(nt + 1.0 - _GAMMA_OVERFLOW_X))
     y = nt + 1.0 - m
     # base^(p-m) = mb^k base^f 2^(eb k) with p-m = k + f, base = mb 2^eb
     k, f = divmod(p - m, 1.0)

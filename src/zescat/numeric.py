@@ -132,9 +132,13 @@ def default_match_radius(ch: Channel) -> float:
     """Seed radius: min(1e-2, (0.1/alpha)^(1/(2-mu))), capped so the seed
     sits at oscillation coordinate theta <= 12 (the origin series is the
     Bessel series in theta; letting theta grow costs e^theta in
-    cancellation, which is what matters for mu close to 2)."""
-    r0 = min(1e-2, (0.1 / ch.alpha) ** (1.0 / (2.0 - ch.mu)),
-             (12.0 / ch.b) ** (1.0 / ch.sigma))
+    cancellation, which is what matters for mu close to 2). A cap that
+    overflows (tiny alpha) is no cap."""
+    try:
+        alpha_cap = (0.1 / ch.alpha) ** (1.0 / (2.0 - ch.mu))
+    except OverflowError:
+        alpha_cap = math.inf
+    r0 = min(1e-2, alpha_cap, _radius_at(ch, 12.0))
     if r0 < 1e-140:
         # below this the equation coefficient ~1/r^2 and the integrator
         # state leave the double-precision range

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 from zescat import closedform
-from zescat.cli import (CONFIG_KEYS, EXIT_INVALID, EXIT_NUMERIC, EXIT_OK,
-                        EXIT_TOLERANCE, _build_parser, _load_config, main)
+from zescat.cli import (CONFIG_KEYS, DEFAULT_GRID, EXIT_INVALID, EXIT_NUMERIC,
+                        EXIT_OK, EXIT_TOLERANCE, TOL_PHASE, TOL_ROUTE,
+                        _build_parser, _load_config, main)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, argv):
@@ -104,6 +106,11 @@ class TestExitCodes:
         # a huge coupling also pushes the seed radius below that range
         (["phase-table", "-d", "3", "--mu", "0.3", "--alpha", "1e250"],
          "alpha too large"),
+        # a tiny coupling puts the fit window past the largest double
+        (["phase-table", "-d", "3", "--mu", "1.9", "--alpha", "1e-300"],
+         "outside the representable radial range"),
+        (["phase-table", "-d", "3", "--mu", "1.0", "--alpha", "1e-320"],
+         "outside the representable radial range"),
     ])
     def test_numeric_route_failure_exits_three(self, capsys, recwarn, argv, reason):
         code, out, err = _run(capsys, argv + ["--numeric", "--lmax", "0"])
@@ -111,6 +118,38 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1 and reason in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+    def test_underflowing_closed_amplitude_still_compares(self, capsys):
+        # C_closed at l = 8 is 4.09e-35 although 0.01^170.5 underflows
+        code, out, err = _run(capsys, ["phase-table", "-d", "3", "--mu", "1.9",
+                                       "--alpha", "100", "--lmax", "9",
+                                       "--numeric", "--format", "json"])
+        assert code == EXIT_OK and err == ""
+        row = json.loads(out)["rows"][8]
+        assert row["C_closed"] > 0.0 and row["rel_dC"] <= 1e-4
+
+
+class TestGolden:
+    """Closed-form reports, byte for byte; their bytes come from the
+    standard library's math only (tests/golden/<name>.<format>)."""
+
+    COMMANDS = {
+        "phase_table_d3_mu0.3": "phase-table -d 3 --mu 0.3 --alpha 0.5 --lmax 40",
+        # rows past Gamma's range, and rows whose C_closed leaves double range
+        "phase_table_d5_mu1.9": "phase-table -d 5 --mu 1.9 --alpha 1.0 --lmax 20",
+        "eigenvalues_d3_mu0.8":
+            "eigenvalues -d 3 --mu 0.8 --alpha 2.0 --lmax 20 --degrees",
+        "verify_d3_mu1.0": "verify -d 3 --mu 1.0 --lmax 20",
+    }
+
+    @pytest.mark.parametrize("fmt", ["human", "csv", "json"])
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_stdout_matches_golden(self, capsys, name, fmt):
+        argv = shlex.split(self.COMMANDS[name]) + ["--format", fmt]
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_OK and err == ""
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
 
 
 class TestDeterminism:
@@ -307,6 +346,31 @@ class TestVerify:
             assert code == EXIT_INVALID
             assert out == "" and err.count("\n") == 1
             assert f"{cfg}:2" in err and line.split()[0] in err
+
+
+def test_config_values_take_their_default_types(tmp_path):
+    # every verify key, set to an integer literal where one parses
+    path = tmp_path / "all.cfg"
+    path.write_text("identity_dims = 3\nidentity_mus = 1\nlmax_identity = 4\n"
+                    "dims = 3, 4\nmus = 1\nalphas = 1\nlmax = 2\n"
+                    "tol_phase = 1\ntol_amp = 1\ntol_route = 1\n")
+    conf = _load_config(str(path), CONFIG_KEYS["verify"])
+    dims, reals = (tuple, int), (tuple, float)
+    expected = {"identity_dims": dims, "identity_mus": reals,
+                "lmax_identity": int, "dims": dims, "mus": reals,
+                "alphas": reals, "lmax": int, "tol_phase": float,
+                "tol_amp": float, "tol_route": float}
+    assert set(conf) == set(CONFIG_KEYS["verify"]) == set(expected)
+    defaults = {**DEFAULT_GRID, "tol_phase": TOL_PHASE, "tol_amp": TOL_PHASE,
+                "tol_route": TOL_ROUTE}
+    for key, value in conf.items():
+        for given in (value, defaults[key]):
+            if expected[key] in (dims, reals):
+                assert type(given) is tuple, key
+                assert {type(v) for v in given} == {expected[key][1]}, key
+            else:
+                assert type(given) is expected[key], key
+    assert conf["dims"] == (3, 4) and conf["alphas"] == (1.0,)
 
 
 class TestReadme:

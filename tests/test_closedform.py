@@ -177,6 +177,19 @@ class TestAmplitude:
                 past_gamma += nt + 1.0 > 171.624
         assert len(rows) == 14 and past_gamma == 6
 
+    def test_underflowing_power_base_matches_mpmath(self):
+        # d=3, mu=1.9, alpha=100, l=8: nu_tilde = 170 keeps Gamma in range,
+        # but base^(nu_tilde + 1/2) = 0.01^170.5 underflows on its own
+        mpmath = pytest.importorskip("mpmath")
+        ch = _channel(3, 1.9, 100.0, 8)
+        base = (2.0 - ch.mu) / math.sqrt(ch.alpha)
+        assert ch.nu_tilde + 1.0 <= 171.624 and base ** (ch.nu_tilde + 0.5) == 0.0
+        with mpmath.workdps(30):
+            nt = mpmath.mpf(ch.nu_tilde)
+            ref = (mpmath.gamma(nt + 1) * mpmath.mpf(base) ** (nt + 0.5)
+                   / mpmath.sqrt(mpmath.pi))
+        assert abs(closed_form_amplitude(ch) - ref) <= 1e-14 * ref
+
     def test_variant_reading_differs_when_nu_not_mu(self):
         ch = _channel(3, 1.0, 1.0, 0)  # nu = 0.5 != mu = 1
         ratio = closed_form_amplitude_variant(ch) / closed_form_amplitude(ch)
