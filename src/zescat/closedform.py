@@ -82,7 +82,8 @@ def _prefactor(ch: Channel, extra_half_power: bool,
     nt+1-m in range (m = 0 when only base^p underflows), and the product
     Gamma(y) base^(p-m) prod_{i<m} (y+i) base is carried as a mantissa and
     a binary exponent, so no partial product leaves double range. Raises
-    OverflowError once the value itself leaves double range.
+    OverflowError once the value itself leaves the normal double range,
+    above or below.
     """
     nt = ch.nu_tilde
     if base is None:
@@ -97,7 +98,7 @@ def _prefactor(ch: Channel, extra_half_power: bool,
     if nt + 1.0 <= _GAMMA_OVERFLOW_X:
         power = base ** p
         if power >= sys.float_info.min:
-            return gamma_kernel(nt + 1.0) * power
+            return _normal(gamma_kernel(nt + 1.0) * power, nt)
     m = max(0, math.ceil(nt + 1.0 - _GAMMA_OVERFLOW_X))
     y = nt + 1.0 - m
     # base^(p-m) = mb^k base^f 2^(eb k) with p-m = k + f, base = mb 2^eb
@@ -108,7 +109,18 @@ def _prefactor(ch: Channel, extra_half_power: bool,
     for i in range(m):
         mant, e = math.frexp(mant * ((y + i) * base))
         expo += e
-    return math.ldexp(mant, expo)
+    return _normal(math.ldexp(mant, expo), nt)
+
+
+def _normal(value: float, nt: float) -> float:
+    """``value`` if it is a normal double. Below that range it has lost
+    digits or is 0.0, so it is reported like a value above the range."""
+    if value < sys.float_info.min:
+        raise OverflowError(
+            f"normalization underflows double precision ({value:.3g}) for "
+            f"nu_tilde = {nt}"
+        )
+    return value
 
 
 def _validated_radii(r) -> np.ndarray:
@@ -121,8 +133,8 @@ def _validated_radii(r) -> np.ndarray:
 def closed_form_f(ch: Channel, r):
     """The regular zero-energy solution f(r), scalar or elementwise.
 
-    Raises OverflowError when the normalization prefactor exceeds the
-    double-precision range (very large nu_tilde).
+    Raises OverflowError when the normalization prefactor leaves the
+    normal double range (very large nu_tilde, or a power base far from 1).
     """
     arr = _validated_radii(r)
     pref = _prefactor(ch, extra_half_power=False)
@@ -143,8 +155,10 @@ def closed_form_amplitude(ch: Channel) -> float:
 
     Equivalently Gamma(nt+1) (2/b)^nt sqrt(2/(pi b)), the amplitude forced
     by the closed form together with the large-argument Bessel asymptotics.
+    Raises OverflowError when C leaves the normal double range.
     """
-    return _prefactor(ch, extra_half_power=True) / math.sqrt(math.pi)
+    return _normal(_prefactor(ch, extra_half_power=True) / math.sqrt(math.pi),
+                   ch.nu_tilde)
 
 
 def closed_form_amplitude_variant(ch: Channel) -> float:
@@ -160,7 +174,8 @@ def closed_form_amplitude_variant(ch: Channel) -> float:
             f"variant amplitude undefined for nu = {ch.nu} >= 2 "
             "(negative power base)"
         )
-    return _prefactor(ch, extra_half_power=True, base=base) / math.sqrt(math.pi)
+    return _normal(_prefactor(ch, extra_half_power=True, base=base)
+                   / math.sqrt(math.pi), ch.nu_tilde)
 
 
 def closed_form_phase(ch: Channel) -> float:

@@ -14,17 +14,17 @@ The route is deliberately disjoint from :mod:`zescat.closedform`:
 
 In the oscillation variable theta = b r^sigma, u = r^(-mu/4) f solves
 u'' + q u = 0 with q = 1 - (nu_tilde^2 - 1/4)/theta^2. Its solutions are
-y^(-1/2) sin(Phi) and y^(-1/2) cos(Phi), where y = Phi' is the
-non-oscillatory Kummer phase derivative. Its asymptotic series in
-theta^(-2) follows from q alone, so no Bessel algebra enters, and
+Y^(1/2) sin(Phi) and Y^(1/2) cos(Phi), where Y = 1/Phi' is the
+non-oscillatory squared envelope. Y solves a linear equation whose series
+in theta^(-2) has a one-term recurrence in q alone, so no Bessel algebra
+enters; it holds to rounding from theta = 1.5 nu_tilde out, and
 Phi - theta -> 0 carries (C, D) to infinity analytically. The march can
 therefore stop a fixed number of wavelengths past the turning point
 theta = nu_tilde: the default fit window is [theta_lo, 2 theta_lo] with
-theta_lo = max(20, 5 nu_tilde), where eight series terms solve the Kummer
-equation to about 1e-13. The cost grows as nu_tilde, not nu_tilde^2:
-62,715 integrator steps for the hardest sweep channel (d = 5, mu = 1.9,
-alpha = 0.5, l = 6, nu_tilde = 150), which agrees with the closed form to
-3.6e-10 in D and 1.6e-9 in C.
+theta_lo = max(20, 5 nu_tilde). The cost grows as nu_tilde, not
+nu_tilde^2: 62,715 integrator steps for the hardest sweep channel (d = 5,
+mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150), which agrees with the
+closed form to 3.6e-10 in D and 1.6e-9 in C.
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -61,7 +61,7 @@ _SEED_TOL = 1e-14
 _DEFAULT_RTOL = 1e-10
 _MIN_RTOL = 2.0 ** -52     # tighter tolerances cannot be met in doubles
 _MIN_WINDOW_THETA = 20.0
-_KUMMER_TERMS = 8
+_ROUNDING = 2.0 ** -53     # half an ulp of 1
 _FIT_TOL = 1e-5
 
 
@@ -153,10 +153,10 @@ def default_match_radius(ch: Channel) -> float:
 def default_theta_window(ch: Channel, r0: float) -> tuple[float, float]:
     """Fit window in the oscillation variable theta = b r^((2-mu)/2).
 
-    Starts at max(20, 5 nu_tilde), five times the turning point, where the
-    truncated Kummer series of the fit basis is accurate to about 1e-13,
-    and in any case a factor 5 beyond the seed radius r0 (for mu close to 2
-    the seed itself sits at theta of order 1/(2-mu)); spans a factor 2.
+    Starts at max(20, 5 nu_tilde), five times the turning point (window
+    policy: the fit basis holds to rounding from 1.5 nu_tilde out), and in
+    any case a factor 5 beyond the seed radius r0 (for mu close to 2 the
+    seed itself sits at theta of order 1/(2-mu)); spans a factor 2.
     """
     theta_seed = ch.b * r0 ** ch.sigma
     theta_lo = max(_MIN_WINDOW_THETA, 5.0 * ch.nu_tilde, 5.0 * theta_seed)
@@ -457,35 +457,30 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
     )
 
 
-def _kummer_coefficients(nu_tilde: float) -> np.ndarray:
-    """Coefficients a_k, k < 8, of the Kummer phase derivative
-    y = sum_k a_k theta^(-2k) of u'' + q u = 0, q = 1 - c/theta^2,
-    c = nu_tilde^2 - 1/4.
+def _kummer_series(nu_tilde: float, theta_lo: float) -> tuple[list, list]:
+    """Kummer-phase basis of u'' + q u = 0, q = 1 - c/theta^2,
+    c = nu_tilde^2 - 1/4, as series scaled for theta >= theta_lo.
 
-    y is the non-oscillatory solution of y^2 = q + (3/4)(y'/y)^2
-    - (1/2) y''/y, so that y^(-1/2) sin(Phi), Phi' = y, solves the
-    equation exactly. Times y^2, and in s = theta^(-2), it reads
-
-        y^4 = (1 - c s) y^2 + s [(3/4) P^2 - (1/2) Q y],
-
-    with y' = theta^(-1) P, P = sum_k (-2k) a_k s^k, and y'' = s Q,
-    Q = sum_k 2k(2k+1) a_k s^k. The bracket at order s^(m-1) involves only
-    a_0 .. a_(m-1), and a_m enters y^4 as 4 a_m and y^2 as 2 a_m, so
-    matching s^m with a_m still 0 gives a_m = (rhs - lhs)/2. Everything
-    comes from q; a_0 = 1 and a_1 = -c/2.
+    The squared envelope Y = u1^2 + u2^2 = 1/Phi' of two solutions of
+    Wronskian 1 solves Y''' + 4 q Y' + 2 q' Y = 0, so Y = sum_j m_j
+    theta^(-2j) has m_0 = 1 and m_j = m_(j-1) (2j-1) (c - j(j-1)) / (2j).
+    Returns t_j = m_j theta_lo^(-2j) while they fall and until one reaches
+    rounding (the series is asymptotic), and a_k theta_lo^(-2k) of
+    Phi' = sum_k a_k theta^(-2k), by series division.
     """
-    c = nu_tilde ** 2 - 0.25
-    a = np.zeros(_KUMMER_TERMS)
-    a[0] = 1.0
-    k = np.arange(_KUMMER_TERMS)
-    for m in range(1, _KUMMER_TERMS):
-        y2 = np.convolve(a, a)
-        p = -2.0 * k * a
-        bracket = (0.75 * np.convolve(p, p)
-                   - 0.5 * np.convolve(2.0 * k * (2.0 * k + 1.0) * a, a))
-        rhs = y2[m] - c * y2[m - 1] + bracket[m - 1]
-        a[m] = 0.5 * (rhs - np.convolve(y2, y2)[m])
-    return a
+    c = nu_tilde * nu_tilde - 0.25
+    s = theta_lo ** -2.0
+    t = [1.0]
+    while abs(t[-1]) > _ROUNDING:
+        j = len(t)
+        term = t[-1] * (2 * j - 1) * (c - j * (j - 1)) / (2 * j) * s
+        if abs(term) >= abs(t[-1]):
+            break
+        t.append(term)
+    a = [1.0]
+    for k in range(1, len(t)):
+        a.append(-sum(t[j] * a[k - j] for j in range(1, k + 1)))
+    return t, a
 
 
 def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
@@ -494,9 +489,9 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
 
     In theta, u = r^(-mu/4) f solves u'' + q u = 0 with
     q = 1 - (nu_tilde^2 - 1/4)/theta^2, whose solutions are exactly
-    u = y^(-1/2) (A sin Phi + B cos Phi), y = Phi' the Kummer phase
-    derivative (``_kummer_coefficients``) and
-    Phi = theta - sum_{k>=1} a_k theta^(1-2k)/(2k-1), so Phi - theta -> 0.
+    u = Y^(1/2) (A sin Phi + B cos Phi), Y = 1/Phi' the squared envelope
+    and Phi = theta - sum_{k>=1} a_k theta^(1-2k)/(2k-1), so Phi - theta
+    -> 0 (``_kummer_series``, scaled at the window start).
     Ordinary least squares on those two columns gives the tail amplitude
     and phase C = hypot(A, B), D = atan2(B, A) reduced to (-pi, pi].
 
@@ -533,12 +528,11 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
         )
     u = r ** (-ch.mu / 4.0) * sample.f[mask]
 
-    a = _kummer_coefficients(ch.nu_tilde)
-    s = theta ** -2.0
-    y = np.polyval(a[::-1], s)
-    odd = np.arange(1, 2 * _KUMMER_TERMS - 1, 2)    # 2k - 1 for k >= 1
-    phi = theta - np.polyval((a[1:] / odd)[::-1], s) / theta
-    envelope = y ** -0.5
+    t, a = _kummer_series(ch.nu_tilde, theta_lo)
+    s = (theta_lo / theta) ** 2
+    envelope = np.sqrt(np.polyval(t[::-1], s))
+    odd = np.arange(1, 2 * len(a) - 1, 2)    # 2k - 1 for k >= 1
+    phi = theta - theta * s * np.polyval((np.array(a[1:]) / odd)[::-1], s)
     design = np.stack([envelope * np.sin(phi), envelope * np.cos(phi)], axis=1)
     norms = np.sqrt(np.mean(design * design, axis=0))
     y_scale = float(np.max(np.abs(u)))

@@ -2,7 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete. The numeric sweep (criteria 2 and 3) runs once and is shared; it
-takes about 14 seconds on 2 CPUs.
+takes 13-14 seconds on 2 CPUs.
 """
 
 import json

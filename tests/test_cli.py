@@ -129,6 +129,21 @@ class TestExitCodes:
         row = json.loads(out)["rows"][8]
         assert row["C_closed"] > 0.0 and row["rel_dC"] <= 1e-4
 
+    def test_closed_amplitude_below_double_range_is_missing(self, capsys):
+        # C_closed leaves the normal double range at l = 66: empty in csv,
+        # null in json, exactly from there on
+        argv = ["phase-table", "-d", "3", "--mu", "1.0", "--alpha", "1e8",
+                "--lmax", "80"]
+        code, out, err = _run(capsys, argv + ["--format", "csv"])
+        assert code == EXIT_OK and err == ""
+        cells = [line.split(",")[-1] for line in out.strip().split("\n")[1:]]
+        assert [cell == "" for cell in cells] == [l >= 66 for l in range(81)]
+        code, out, err = _run(capsys, argv + ["--format", "json"])
+        assert code == EXIT_OK and err == ""
+        rows = json.loads(out)["rows"]
+        assert [row["C_closed"] is None for row in rows] == [l >= 66 for l in range(81)]
+        assert min(row["C_closed"] for row in rows[:66]) > 4.7e-305
+
 
 class TestGolden:
     """Closed-form reports, byte for byte; their bytes come from the

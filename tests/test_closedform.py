@@ -190,6 +190,17 @@ class TestAmplitude:
                    / mpmath.sqrt(mpmath.pi))
         assert abs(closed_form_amplitude(ch) - ref) <= 1e-14 * ref
 
+    def test_amplitude_below_double_range_reported(self):
+        # d=3, mu=1, alpha=1e8: base = 1e-4, and C leaves the normal double
+        # range at l = 66 (nu_tilde 133); it is reported like an overflow,
+        # not returned as a subnormal or 0.0
+        assert closed_form_amplitude(_channel(3, 1.0, 1e8, 65)) > 4.7e-305
+        for l in (66, 71, 80):
+            with pytest.raises(OverflowError, match="underflows"):
+                closed_form_amplitude(_channel(3, 1.0, 1e8, l))
+        with pytest.raises(OverflowError, match="underflows"):
+            closed_form_f(_channel(3, 1.0, 1e8, 67), 1.0)
+
     def test_variant_reading_differs_when_nu_not_mu(self):
         ch = _channel(3, 1.0, 1.0, 0)  # nu = 0.5 != mu = 1
         ratio = closed_form_amplitude_variant(ch) / closed_form_amplitude(ch)

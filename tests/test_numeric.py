@@ -1,6 +1,8 @@
 """Numerical pipeline: origin series, adaptive integration, tail fit."""
 
+import ast
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -21,13 +23,15 @@ from zescat import (
     frobenius_seed,
     integrate_radial,
     make_channel,
+    numeric,
     solve_channel,
 )
 from zescat.numeric import (
-    _kummer_coefficients,
+    _kummer_series,
     _radius_at,
     _sample_grid,
     default_match_radius,
+    default_rtol,
     default_theta_window,
 )
 
@@ -203,30 +207,63 @@ def _synthetic_sample(ch, amplitude, phase, theta_lo=60.0, periods=20, n=4000):
                                 n_steps=0, n_rejected=0, max_error_estimate=0.0)
 
 
+def _kummer_at(nu_tilde, theta):
+    """Y, Phi and y = 1/Y with y', y'' at theta, summed term by term from
+    the series scaled at theta_lo = theta."""
+    t, a = _kummer_series(nu_tilde, theta)
+    k = range(len(a))
+    y = math.fsum(a)
+    dy = math.fsum(-2 * j * a[j] for j in k) / theta
+    d2y = math.fsum(2 * j * (2 * j + 1) * a[j] for j in k) / theta ** 2
+    phi = theta - theta * math.fsum(a[j] / (2 * j - 1) for j in k if j > 0)
+    return math.fsum(t), phi, y, dy, d2y
+
+
+def _kummer_thetas(nu_tilde):
+    return (max(20.0, 1.5 * nu_tilde), max(20.0, 5.0 * nu_tilde))
+
+
 class TestKummerCoefficients:
     def test_leading_coefficients(self):
+        # m_1 = c/2 and a_1 = -c/2, scaled by theta_lo^(-2)
         for nu_tilde in (0.0, 3.0, 150.0):
-            a = _kummer_coefficients(nu_tilde)
-            assert a[0] == 1.0
-            assert a[1] == pytest.approx(-(nu_tilde ** 2 - 0.25) / 2.0, rel=1e-15)
+            theta_lo = max(20.0, 5.0 * nu_tilde)
+            t, a = _kummer_series(nu_tilde, theta_lo)
+            c = nu_tilde ** 2 - 0.25
+            assert t[0] == a[0] == 1.0
+            assert t[1] == pytest.approx(c / 2.0 / theta_lo ** 2, rel=1e-15)
+            assert a[1] == pytest.approx(-c / 2.0 / theta_lo ** 2, rel=1e-15)
 
     def test_half_order_is_pure_sinusoid(self):
-        # nu_tilde = 1/2: q = 1, so y = 1 and Phi = theta exactly
-        assert np.all(_kummer_coefficients(0.5)[1:] == 0.0)
+        # nu_tilde = 1/2: q = 1, so Y = 1 and Phi = theta exactly
+        t, a = _kummer_series(0.5, 20.0)
+        assert all(x == 0.0 for x in t[1:] + a[1:])
+        assert _kummer_at(0.5, 20.0)[:2] == (1.0, 20.0)
 
     @pytest.mark.parametrize("nu_tilde", [0.0, 0.5, 12.0, 150.0, 2000.0])
     def test_defining_equation_residual(self, nu_tilde):
-        # y^2 = q + (3/4)(y'/y)^2 - (1/2) y''/y at the default window start,
-        # theta = 5 nu_tilde (at least 20), with y and its derivatives
-        # summed term by term from the coefficients
-        a = _kummer_coefficients(nu_tilde)
-        theta = max(20.0, 5.0 * nu_tilde)
-        y = math.fsum(a[k] * theta ** (-2 * k) for k in range(a.size))
-        dy = math.fsum(-2 * k * a[k] * theta ** (-2 * k - 1) for k in range(a.size))
-        d2y = math.fsum(2 * k * (2 * k + 1) * a[k] * theta ** (-2 * k - 2)
-                        for k in range(a.size))
-        q = 1.0 - (nu_tilde ** 2 - 0.25) / theta ** 2
-        assert abs(y * y - q - 0.75 * (dy / y) ** 2 + 0.5 * d2y / y) <= 1e-12
+        # the nonlinear Kummer equation y^2 = q + (3/4)(y'/y)^2 - (1/2) y''/y
+        # holds for y = 1/Y at 1.5 and 5 times the turning point
+        for theta in _kummer_thetas(nu_tilde):
+            _, _, y, dy, d2y = _kummer_at(nu_tilde, theta)
+            q = 1.0 - (nu_tilde ** 2 - 0.25) / theta ** 2
+            assert abs(y * y - q - 0.75 * (dy / y) ** 2 + 0.5 * d2y / y) <= 1e-12
+
+    @pytest.mark.parametrize("nu_tilde", [0.5, 3.0, 12.0, 30.0, 150.0, 800.0])
+    def test_matches_mpmath_bessel_modulus_and_phase(self, nu_tilde):
+        # test-only oracle: u1 = sqrt(pi theta/2) J, u2 = sqrt(pi theta/2) Y_nu
+        # have Wronskian 1, so Y = (pi theta/2)(J^2 + Y_nu^2), and their
+        # phase tends to theta - (nu_tilde/2 + 1/4) pi
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(25):
+            for theta in _kummer_thetas(nu_tilde):
+                j, yn = mp.besselj(nu_tilde, theta), mp.bessely(nu_tilde, theta)
+                env, phi = _kummer_at(nu_tilde, theta)[:2]
+                env_ref = mp.pi * theta / 2 * (j * j + yn * yn)
+                phi_ref = mp.atan2(yn, j) + (nu_tilde / 2 + 0.25) * mp.pi
+                assert abs(env / env_ref - 1) <= 1e-14
+                turns = mp.nint((phi - phi_ref) / (2 * mp.pi))
+                assert abs(phi - phi_ref - 2 * mp.pi * turns) <= 1e-12
 
 
 class TestExtractPhaseAmplitude:
@@ -274,6 +311,29 @@ class TestExtractPhaseAmplitude:
         quiet = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-7 * rng.standard_normal(sample.f.shape)))
         fit = extract_phase_amplitude(ch, quiet, (sample.r[0], sample.r[-1]))
         assert fit.phase_amplitude.amplitude_C == pytest.approx(1.0, rel=1e-5)
+
+
+REFERENCE_CHANNELS = pytest.mark.parametrize("d, mu, alpha, l", [
+    (3, 1.0, 1.0, 1),     # nu_tilde 3
+    (4, 1.5, 0.5, 2),     # nu_tilde 12
+    (5, 1.9, 0.5, 0),     # nu_tilde 30
+])
+
+
+def _window_fit(ch, window, tol):
+    """Tail fit on the theta ``window`` after a march through the public
+    stages."""
+    r0 = default_match_radius(ch)
+    grid = _sample_grid(ch, r0, window)
+    sample = integrate_radial(ch, frobenius_seed(ch, r0), grid, tol=tol)
+    return extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
+
+
+def _assert_same_tail(fit, ref):
+    c = ref.phase_amplitude.amplitude_C
+    assert fit.phase_amplitude.amplitude_C == pytest.approx(c, rel=1e-8)
+    assert abs(circular_difference(fit.phase_amplitude.phase_D,
+                                   ref.phase_amplitude.phase_D)) <= 1e-8
 
 
 class TestPipeline:
@@ -330,11 +390,7 @@ class TestPipeline:
             assert abs(circular_difference(fit2.phase_amplitude.phase_D,
                                            fit.phase_amplitude.phase_D)) * c <= allowance
 
-    @pytest.mark.parametrize("d, mu, alpha, l", [
-        (3, 1.0, 1.0, 1),     # nu_tilde 3
-        (4, 1.5, 0.5, 2),     # nu_tilde 12
-        (5, 1.9, 0.5, 0),     # nu_tilde 30
-    ])
+    @REFERENCE_CHANNELS
     def test_far_window_reference_agrees(self, d, mu, alpha, l):
         # closed-form-free check of the Kummer basis: a march out to the far
         # window theta in [nu_tilde^2, 2 nu_tilde^2] (at least [50, 100]),
@@ -344,16 +400,21 @@ class TestPipeline:
         # tol = 1e-12 so that its own integration error stays near 1e-10.
         ch = _channel(d, mu, alpha, l)
         _, fit = solve_channel(ch)
-        r0 = default_match_radius(ch)
         theta_lo = max(50.0, ch.nu_tilde ** 2)
-        grid = _sample_grid(ch, r0, (theta_lo, 2.0 * theta_lo))
-        sample = integrate_radial(ch, frobenius_seed(ch, r0), grid, tol=1e-12)
-        far = extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
+        far = _window_fit(ch, (theta_lo, 2.0 * theta_lo), tol=1e-12)
         assert far.theta_lo > fit.theta_hi     # the windows do not overlap
-        c = fit.phase_amplitude.amplitude_C
-        assert far.phase_amplitude.amplitude_C == pytest.approx(c, rel=1e-8)
-        assert abs(circular_difference(far.phase_amplitude.phase_D,
-                                       fit.phase_amplitude.phase_D)) <= 1e-8
+        _assert_same_tail(far, fit)
+
+    @REFERENCE_CHANNELS
+    def test_near_window_reference_agrees(self, d, mu, alpha, l):
+        # the same check near the turning point, where the truncated series
+        # is least accurate: four periods from theta = 1.5 nu_tilde (at
+        # least 20), at the integrator tolerance of solve_channel
+        ch = _channel(d, mu, alpha, l)
+        _, fit = solve_channel(ch)
+        theta_lo = max(20.0, 1.5 * ch.nu_tilde)
+        window = (theta_lo, theta_lo + 8.0 * math.pi)
+        _assert_same_tail(_window_fit(ch, window, default_rtol(window[1])), fit)
 
     def test_sample_density_near_endpoint(self):
         ch = _channel(3, 1.0, 1.0, 0)
@@ -402,3 +463,25 @@ class TestCost:
         assert ch.nu_tilde == pytest.approx(150.0)
         assert steps[1] <= 100_000
         assert steps[1] / steps[0] <= 8.0
+
+
+def test_route_independence_imports():
+    # static guard: the numeric route takes only the shared result type and
+    # angle reduction from the closed-form module, and no special functions
+    tree = ast.parse(inspect.getsource(numeric))
+    from_closedform = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+        elif isinstance(node, ast.Import):
+            module = []
+        else:
+            continue
+        names = [alias.name for alias in node.names]
+        if module[-1:] == ["closedform"]:
+            from_closedform.update(names)
+            continue
+        parts = set(module).union(*(name.split(".") for name in names))
+        assert not parts & {"closedform", "specfn", "_kernels", "scipy",
+                            "mpmath"}, ast.unparse(node)
+    assert from_closedform == {"PhaseAmplitude", "reduce_angle"}
