@@ -19,12 +19,13 @@ non-oscillatory squared envelope. Y solves a linear equation whose series
 in theta^(-2) has a one-term recurrence in q alone, so no Bessel algebra
 enters; it holds to rounding from theta = 1.5 nu_tilde out, and
 Phi - theta -> 0 carries (C, D) to infinity analytically. The march can
-therefore stop a fixed number of wavelengths past the turning point
-theta = nu_tilde: the default fit window is [theta_lo, 2 theta_lo] with
-theta_lo = max(20, 5 nu_tilde). The cost grows as nu_tilde, not
-nu_tilde^2: 62,715 integrator steps for the hardest sweep channel (d = 5,
-mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150), which agrees with the
-closed form to 3.6e-10 in D and 1.6e-9 in C.
+therefore stop just past the turning point theta = nu_tilde: the default
+fit window is three periods, [theta_lo, theta_lo + 6 pi] with
+theta_lo = max(20, 1.5 nu_tilde). The cost grows as nu_tilde, not
+nu_tilde^2: 14,461 integrator steps for the hardest sweep channel (d = 5,
+mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150). Over the 420-channel
+verification sweep the fit agrees with the closed form to 1.9e-10 in D and
+4.6e-9 in C.
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -150,17 +151,16 @@ def default_match_radius(ch: Channel) -> float:
     return r0
 
 
-def default_theta_window(ch: Channel, r0: float) -> tuple[float, float]:
+def default_theta_window(ch: Channel) -> tuple[float, float]:
     """Fit window in the oscillation variable theta = b r^((2-mu)/2).
 
-    Starts at max(20, 5 nu_tilde), five times the turning point (window
-    policy: the fit basis holds to rounding from 1.5 nu_tilde out), and in
-    any case a factor 5 beyond the seed radius r0 (for mu close to 2 the
-    seed itself sits at theta of order 1/(2-mu)); spans a factor 2.
+    Starts at max(20, 1.5 nu_tilde), 1.5 times the turning point
+    theta = nu_tilde, from where the fit basis holds to rounding, and spans
+    three periods (121 grid points). The seed sits at theta <= 12
+    (:func:`default_match_radius`), so the window always lies past it.
     """
-    theta_seed = ch.b * r0 ** ch.sigma
-    theta_lo = max(_MIN_WINDOW_THETA, 5.0 * ch.nu_tilde, 5.0 * theta_seed)
-    return theta_lo, 2.0 * theta_lo
+    theta_lo = max(_MIN_WINDOW_THETA, 1.5 * ch.nu_tilde)
+    return theta_lo, theta_lo + 6.0 * math.pi
 
 
 def default_rtol(theta_max: float) -> float:
@@ -500,7 +500,8 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     FitWindowError
         Degenerate window (fewer than 10 points or under 2 oscillation
         periods), window outside the deep oscillatory regime
-        (theta_lo < 20), or a rank-deficient design.
+        (theta_lo < 20), window starting at or inside the turning point
+        (theta_lo <= nu_tilde), or a rank-deficient design.
     TailFitError
         Residual RMS above 1e-5 times the fitted amplitude.
     """
@@ -513,6 +514,12 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
         raise FitWindowError(
             f"window starts at theta = {theta_lo:.3g} < {_MIN_WINDOW_THETA}; "
             "not in the deep oscillatory regime"
+        )
+    if theta_lo <= ch.nu_tilde:
+        raise FitWindowError(
+            f"window starts at theta = {theta_lo:.3g}, at or inside the "
+            f"turning point theta = nu_tilde = {ch.nu_tilde:.3g}; the fit "
+            "basis needs theta_lo > nu_tilde"
         )
     mask = (sample.r >= r_lo) & (sample.r <= r_hi)
     n_pts = int(np.count_nonzero(mask))
@@ -573,7 +580,7 @@ def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
     integrator tolerance is always :func:`default_rtol` of the window end.
     """
     r0 = default_match_radius(ch)
-    window = default_theta_window(ch, r0)
+    window = default_theta_window(ch)
     seed = frobenius_seed(ch, r0)
     grid = _sample_grid(ch, r0, window)
     sample = integrate_radial(ch, seed, grid, tol=default_rtol(window[1]))

@@ -1,8 +1,8 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete. The numeric sweep (criteria 2 and 3) runs once and is shared; it
-takes 13-14 seconds on 2 CPUs.
+complete. The numeric sweep (criteria 2 and 3, and the sweep accuracy gate)
+runs once and is shared; it takes 4-5 seconds on 2 CPUs.
 """
 
 import json
@@ -100,6 +100,16 @@ def test_criterion_2_tail_numeric_vs_closed_form(sweep):
     _report(2, ok,
             f"{len(sweep)} channels: max |dD| = {worst_phase:.3e} rad, "
             f"max |dC|/C = {worst_amp:.3e} (tol 1e-4 each)")
+
+
+def test_sweep_accuracy_gate(sweep):
+    # tighter than criterion 2: pins the accuracy of the default fit window,
+    # three periods from 1.5 times the turning point
+    worst_phase = max(row["phase_dev"] for row in sweep)
+    worst_amp = max(row["amp_rel_dev"] for row in sweep)
+    assert worst_phase <= 1e-9 and worst_amp <= 1e-8, (
+        f"max |dD| = {worst_phase:.3e} rad (tol 1e-9), "
+        f"max |dC|/C = {worst_amp:.3e} (tol 1e-8)")
 
 
 def test_criterion_3_amplitude_constant_reading(sweep):

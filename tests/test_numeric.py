@@ -31,7 +31,6 @@ from zescat.numeric import (
     _radius_at,
     _sample_grid,
     default_match_radius,
-    default_rtol,
     default_theta_window,
 )
 
@@ -363,7 +362,7 @@ class TestPipeline:
         seed = frobenius_seed(ch, r0)
         seed2 = dataclasses.replace(seed, seed_value=2.0 * seed.seed_value,
                                     seed_derivative=2.0 * seed.seed_derivative)
-        window = default_theta_window(ch, r0)
+        window = default_theta_window(ch)
         grid = _sample_grid(ch, r0, window)
         fits = []
         for s in (seed, seed2):
@@ -395,7 +394,7 @@ class TestPipeline:
         # closed-form-free check of the Kummer basis: a march out to the far
         # window theta in [nu_tilde^2, 2 nu_tilde^2] (at least [50, 100]),
         # through the same public stages, must give the (C, D) of the
-        # default window near 5 nu_tilde. A wrong a_k moves Phi by a
+        # default window from 1.5 nu_tilde. A wrong a_k moves Phi by a
         # different amount in the two windows. The reference runs at
         # tol = 1e-12 so that its own integration error stays near 1e-10.
         ch = _channel(d, mu, alpha, l)
@@ -407,14 +406,25 @@ class TestPipeline:
 
     @REFERENCE_CHANNELS
     def test_near_window_reference_agrees(self, d, mu, alpha, l):
-        # the same check near the turning point, where the truncated series
-        # is least accurate: four periods from theta = 1.5 nu_tilde (at
-        # least 20), at the integrator tolerance of solve_channel
+        # the default window sits near the turning point, where the series
+        # is least accurate; its (C, D) must match a fit on a later window
+        # [5 nu_tilde, 10 nu_tilde] (at least [40, 80], past the default
+        # window's end 20 + 6 pi) at tol = 1e-11
         ch = _channel(d, mu, alpha, l)
         _, fit = solve_channel(ch)
-        theta_lo = max(20.0, 1.5 * ch.nu_tilde)
-        window = (theta_lo, theta_lo + 8.0 * math.pi)
-        _assert_same_tail(_window_fit(ch, window, default_rtol(window[1])), fit)
+        theta_lo = max(40.0, 5.0 * ch.nu_tilde)
+        ref = _window_fit(ch, (theta_lo, 2.0 * theta_lo), tol=1e-11)
+        assert ref.theta_lo > fit.theta_hi     # the windows do not overlap
+        _assert_same_tail(fit, ref)
+
+    def test_window_inside_turning_point_rejected(self):
+        # nu_tilde = 30: a window from 0.9 nu_tilde clears the theta >= 20
+        # floor but not the turning point, where the Kummer series stops
+        # on terms that are not small
+        ch = _channel(5, 1.9, 0.5, 0)
+        theta_lo = 0.9 * ch.nu_tilde
+        with pytest.raises(FitWindowError, match="turning point"):
+            _window_fit(ch, (theta_lo, theta_lo + 8.0 * math.pi), tol=1e-10)
 
     def test_sample_density_near_endpoint(self):
         ch = _channel(3, 1.0, 1.0, 0)
@@ -453,15 +463,15 @@ class TestCost:
     def test_steps_grow_linearly_in_nu_tilde(self, d, alpha, l_30, l_150):
         # mu = 1.9: nu_tilde = 30 at l_30 and 150 at l_150; linear growth
         # gives a step ratio near 5, quadratic growth 25. (5, 1.9, 0.5, 6)
-        # is the sweep's hardest channel, where a march over theta up to
-        # 2 nu_tilde^2 took 2,588,792 steps.
+        # is the sweep's hardest channel: 14,461 steps with the march
+        # stopped at the end of the three periods from theta = 1.5 nu_tilde.
         steps = []
         for l in (l_30, l_150):
             ch = _channel(d, 1.9, alpha, l)
             sample, _ = solve_channel(ch)
             steps.append(sample.n_steps)
         assert ch.nu_tilde == pytest.approx(150.0)
-        assert steps[1] <= 100_000
+        assert steps[1] <= 20_000
         assert steps[1] / steps[0] <= 8.0
 
 
