@@ -21,11 +21,11 @@ enters; it holds to rounding from theta = 1.5 nu_tilde out, and
 Phi - theta -> 0 carries (C, D) to infinity analytically. The march can
 therefore stop just past the turning point theta = nu_tilde: the default
 fit window is three periods, [theta_lo, theta_lo + 6 pi] with
-theta_lo = max(20, 1.5 nu_tilde). The cost grows as nu_tilde, not
-nu_tilde^2: 14,461 integrator steps for the hardest sweep channel (d = 5,
-mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150). Over the 420-channel
-verification sweep the fit agrees with the closed form to 1.9e-10 in D and
-4.6e-9 in C.
+theta_lo = max(20, 1.5 nu_tilde), sampled at the integrator's own
+accepted steps. The cost grows as nu_tilde, not nu_tilde^2: 14,391
+integrator steps for the hardest sweep channel (d = 5, mu = 1.9,
+alpha = 0.5, l = 6, nu_tilde = 150). Over the 420-channel verification
+sweep the fit agrees with the closed form to 2.1e-10 in D and 4.5e-9 in C.
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -105,7 +105,7 @@ class FrobeniusSeed:
 
 @dataclass(frozen=True, eq=False)
 class RadialSolutionSample:
-    """Integration output on a strictly increasing grid, plus stats."""
+    """Accepted integrator states at strictly increasing radii, plus stats."""
 
     r: np.ndarray
     f: np.ndarray
@@ -156,7 +156,8 @@ def default_theta_window(ch: Channel) -> tuple[float, float]:
 
     Starts at max(20, 1.5 nu_tilde), 1.5 times the turning point
     theta = nu_tilde, from where the fit basis holds to rounding, and spans
-    three periods (121 grid points). The seed sits at theta <= 12
+    three periods (450-683 accepted integrator steps on the verification
+    sweep at :func:`default_rtol`). The seed sits at theta <= 12
     (:func:`default_match_radius`), so the window always lies past it.
     """
     theta_lo = max(_MIN_WINDOW_THETA, 1.5 * ch.nu_tilde)
@@ -164,8 +165,12 @@ def default_theta_window(ch: Channel) -> tuple[float, float]:
 
 
 def default_rtol(theta_max: float) -> float:
-    """Integrator tolerance tightened with the span, so that per-step phase
-    errors cannot accumulate past ~1e-5 over theta_max radians."""
+    """Integrator tolerance: 1e-10, or 4e-7/theta_max once the window ends
+    past theta = 4000 (nu_tilde above about 2650 with the default window).
+
+    The fit's error in C is integrator error, linear in the tolerance: it
+    tracks about 3.5e-3 tol n_steps relative, 9e-10 to 1.2e-8 at 1e-10 for
+    nu_tilde from 21 to 161, while D stays within about 3e-11."""
     return min(_DEFAULT_RTOL, 4e-7 / theta_max)
 
 
@@ -238,25 +243,8 @@ def frobenius_seed(ch: Channel, r0: float) -> FrobeniusSeed:
     )
 
 
-def _sample_grid(ch: Channel, r0: float,
-                 theta_window: tuple[float, float]) -> np.ndarray:
-    """Output grid: the seed radius r0, then the fit window, uniform in
-    theta at (at least) 40 points per period. Nothing is sampled between r0
-    and the window, so the window starts at ``grid[1]``."""
-    theta_lo, theta_max = theta_window
-    if not (math.isfinite(_radius_at(ch, theta_max))
-            and _radius_at(ch, theta_lo) > r0):
-        raise ValueError(
-            f"oscillation window theta in [{theta_lo:g}, {theta_max:g}] maps "
-            "outside the representable radial range for this channel "
-            "(nu_tilde and mu too extreme for the numerical route)"
-        )
-    n_window = math.ceil(40.0 * (theta_max - theta_lo) / (2.0 * math.pi)) + 1
-    theta = np.linspace(theta_lo, theta_max, n_window)
-    return np.concatenate([[r0], (theta / ch.b) ** (1.0 / ch.sigma)])
-
-
-def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
+def integrate_radial(ch: Channel, seed: FrobeniusSeed,
+                     r_window: tuple[float, float],
                      tol: float) -> RadialSolutionSample:
     """Integrate the radial equation outward from the seed.
 
@@ -265,7 +253,9 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
         f'' = ((nu^2 - 1/4)/r^2 - alpha r^(-mu)) f
 
     is marched with a Dormand-Prince 5(4) embedded pair and PI step
-    control, clamping steps onto the output radii.
+    control. Every accepted state with r >= r_lo is recorded, so the sample
+    is the window at the integrator's own steps; only the last step is
+    shortened, to end exactly at r_hi.
 
     Parameters
     ----------
@@ -273,10 +263,9 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
         Channel constants.
     seed : FrobeniusSeed
         Starting state at ``seed.match_radius``.
-    r_grid : numpy.ndarray
-        Strictly increasing output radii starting at the match radius;
-        :func:`solve_channel` passes the grid of ``_sample_grid``. The
-        integration ends at ``r_grid[-1]``.
+    r_window : tuple of float
+        ``(r_lo, r_hi)`` with match radius <= r_lo < r_hi < inf. The seed
+        state is recorded only when r_lo is the match radius.
     tol : float
         Relative local-error tolerance per step, at least 2**-52 (a tighter
         one cannot be met in double precision and the march never ends).
@@ -293,7 +282,8 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
     Raises
     ------
     ValueError
-        ``tol`` below 2**-52 or not finite, or a malformed ``r_grid``.
+        ``tol`` below 2**-52 or not finite, or an ``r_window`` that starts
+        below the match radius, is empty or ends at a non-finite radius.
     IntegrationError
         Non-finite seed state, a step size that underflows the radius, or
         a state that stays non-finite however small the step (f outgrew
@@ -301,13 +291,11 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
     """
     if not (math.isfinite(tol) and tol >= _MIN_RTOL):
         raise ValueError(f"tol must be finite and >= 2**-52, got {tol!r}")
-    r_grid = np.ascontiguousarray(r_grid, dtype=float)
-    if (r_grid.ndim != 1 or r_grid.size < 2
-            or r_grid[0] != seed.match_radius
-            or np.any(np.diff(r_grid) <= 0.0)):
-        raise ValueError("r_grid must be 1-D, strictly increasing and start "
-                         "at the seed match radius")
+    r_lo, r_hi = float(r_window[0]), float(r_window[1])
     r = float(seed.match_radius)
+    if not (r <= r_lo < r_hi < math.inf):
+        raise ValueError("r_window must satisfy match radius <= r_lo < r_hi "
+                         f"< inf, got {r_window!r} with match radius {r:g}")
     f = float(seed.seed_value)
     fp = float(seed.seed_derivative)
     if not (math.isfinite(f) and math.isfinite(fp)):
@@ -315,14 +303,9 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
         # checked, so this is the one place a non-finite value can enter
         raise IntegrationError("seed state is non-finite", r)
 
-    n_out = r_grid.shape[0]
-    out_f = np.empty(n_out)
-    out_fp = np.empty(n_out)
-    out_f[0] = f
-    out_fp[0] = fp
+    out = [(r, f, fp)] if r == r_lo else []
     # Python floats throughout: numpy scalar arithmetic is several times
     # slower and gives the same IEEE results.
-    grid = r_grid.item
     nu, mu, alpha, rtol = float(ch.nu), float(ch.mu), float(ch.alpha), float(tol)
     isfinite = math.isfinite
     sqrt = math.sqrt
@@ -343,19 +326,10 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
     n_rej = 0
     max_err = 0.0
 
-    j = 1
-    while j < n_out:
-        target = grid(j)
-        if target - r <= r * 1e-15:
-            # indistinguishable from the current point at double precision
-            out_f[j] = f
-            out_fp[j] = fp
-            j += 1
-            continue
-        hit = False
-        if r + h >= target:
-            h = target - r
-            hit = True
+    while r < r_hi:
+        last = r + h >= r_hi
+        if last:
+            h = r_hi - r
         elif h < r * 5e-15:
             raise IntegrationError("step size underflow", r)
 
@@ -432,15 +406,13 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
             n_steps += 1
             if err > max_err:
                 max_err = err
-            r = rr
+            r = r_hi if last else rr
             f = nf
             fp = np_
             k1f = k7f
             k1p = k7p
-            if hit:
-                out_f[j] = f
-                out_fp[j] = fp
-                j += 1
+            if r >= r_lo:
+                out.append((r, f, fp))
             if err > 0.0:
                 fac = 0.9 * err ** -0.14 * errold ** 0.08
             else:
@@ -451,8 +423,9 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed, r_grid: np.ndarray,
             fac = max(0.2, 0.9 * err ** -0.2)
         h *= min(5.0, max(0.2, fac))
 
+    r_out, f_out, fp_out = np.array(out).T
     return RadialSolutionSample(
-        r=r_grid, f=out_f, df=out_fp,
+        r=r_out, f=f_out, df=fp_out,
         n_steps=n_steps, n_rejected=n_rej, max_error_estimate=max_err,
     )
 
@@ -580,11 +553,17 @@ def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
     integrator tolerance is always :func:`default_rtol` of the window end.
     """
     r0 = default_match_radius(ch)
-    window = default_theta_window(ch)
+    theta_lo, theta_max = default_theta_window(ch)
     seed = frobenius_seed(ch, r0)
-    grid = _sample_grid(ch, r0, window)
-    sample = integrate_radial(ch, seed, grid, tol=default_rtol(window[1]))
-    fit = extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
+    r_window = (_radius_at(ch, theta_lo), _radius_at(ch, theta_max))
+    if not (math.isfinite(r_window[1]) and r_window[0] > r0):
+        raise ValueError(
+            f"oscillation window theta in [{theta_lo:g}, {theta_max:g}] maps "
+            "outside the representable radial range for this channel "
+            "(nu_tilde and mu too extreme for the numerical route)"
+        )
+    sample = integrate_radial(ch, seed, r_window, tol=default_rtol(theta_max))
+    fit = extract_phase_amplitude(ch, sample, r_window)
     return sample, fit
 
 

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zescat import (
     Channel,
@@ -29,7 +31,6 @@ from zescat import (
 from zescat.numeric import (
     _kummer_series,
     _radius_at,
-    _sample_grid,
     default_match_radius,
     default_theta_window,
 )
@@ -128,27 +129,30 @@ class TestIntegrateRadial:
         # alpha = 0, nu = 1/2: the equation is f'' = 0 and f(r) = r
         ch = Channel(d=3, mu=1.0, alpha=0.0, l=0)
         seed = frobenius_seed(ch, 1e-2)
-        grid = np.geomspace(1e-2, 50.0, 400)
-        sample = integrate_radial(ch, seed, grid, tol=1e-10)
-        assert np.allclose(sample.f, grid, rtol=1e-10, atol=0.0)
-        assert np.allclose(sample.df, 1.0, rtol=1e-10, atol=0.0)
+        # the steps grow fivefold, so the last one starts below r_hi/2; for
+        # the second r_hi, r + (r_hi - r) rounds one ulp above it
+        for r_hi in (50.0, float.fromhex("0x1.dbcfd25396403p-1")):
+            sample = integrate_radial(ch, seed, (1e-2, r_hi), tol=1e-10)
+            assert sample.r.size > 1
+            assert sample.r[-1] == r_hi
+            assert np.allclose(sample.f, sample.r, rtol=1e-10, atol=0.0)
+            assert np.allclose(sample.df, 1.0, rtol=1e-10, atol=0.0)
 
     def test_matches_closed_form_at_one(self):
         ch = _channel(3, 1.0, 1.0, 0)
         r0 = default_match_radius(ch)
         seed = frobenius_seed(ch, r0)
-        grid = np.geomspace(r0, 1.0, 64)
-        sample = integrate_radial(ch, seed, grid, tol=1e-12)
+        sample = integrate_radial(ch, seed, (r0, 1.0), tol=1e-12)
+        assert sample.r[-1] == 1.0
         assert sample.f[-1] == pytest.approx(J1_AT_2, abs=1e-8)
 
     def test_tolerance_degrades_monotonically(self):
         ch = _channel(3, 1.0, 1.0, 0)
         r0 = default_match_radius(ch)
         seed = frobenius_seed(ch, r0)
-        grid = np.geomspace(r0, 1.0, 16)
         errs = []
         for tol in (1e-6, 1e-12):
-            sample = integrate_radial(ch, seed, grid, tol=tol)
+            sample = integrate_radial(ch, seed, (r0, 1.0), tol=tol)
             errs.append(abs(sample.f[-1] - J1_AT_2))
         assert errs[0] > errs[1]
 
@@ -156,13 +160,45 @@ class TestIntegrateRadial:
         ch = _channel(2, 1.0, 1.0, 0)
         r0 = default_match_radius(ch)
         seed = frobenius_seed(ch, r0)
-        sample = integrate_radial(ch, seed, _sample_grid(ch, r0, (160.0, 320.0)),
-                                  tol=1e-10)
-        assert sample.r[0] == r0
+        r_window = (_radius_at(ch, 160.0), _radius_at(ch, 320.0))
+        sample = integrate_radial(ch, seed, r_window, tol=1e-10)
+        assert sample.r[0] >= r_window[0] > r0
+        assert sample.r[-1] == r_window[1]
         assert np.all(np.diff(sample.r) > 0.0)
         assert sample.n_steps > 0
         assert sample.max_error_estimate <= 1.0
         assert np.all(np.isfinite(sample.f))
+
+    @pytest.mark.parametrize("d, mu, alpha, l", [(3, 1.0, 1.0, 1), (5, 1.9, 0.5, 2)])
+    def test_sample_is_the_window_at_accepted_steps(self, d, mu, alpha, l):
+        # the recorded radii rise strictly from r_lo on and end exactly at
+        # r_hi, however the last step falls; a window from the match radius
+        # ends there too
+        ch = _channel(d, mu, alpha, l)
+        r0 = default_match_radius(ch)
+        seed = frobenius_seed(ch, r0)
+        theta_lo, theta_max = default_theta_window(ch)
+        r_lo, r_hi = _radius_at(ch, theta_lo), _radius_at(ch, theta_max)
+        for window in ((r_lo, r_hi), (r_lo, math.nextafter(r_lo, math.inf)),
+                       (r0, r_lo)):
+            sample = integrate_radial(ch, seed, window, tol=1e-10)
+            assert sample.r[0] >= window[0]
+            assert np.all(np.diff(sample.r) > 0.0)
+            assert sample.r[-1] == window[1]
+            assert sample.r.shape == sample.f.shape == sample.df.shape
+
+    def test_seed_recorded_only_from_match_radius(self):
+        ch = _channel(3, 1.0, 1.0, 0)
+        r0 = default_match_radius(ch)
+        seed = frobenius_seed(ch, r0)
+        sample = integrate_radial(ch, seed, (r0, 1.0), tol=1e-10)
+        assert (sample.r[0], sample.f[0], sample.df[0]) == (
+            r0, seed.seed_value, seed.seed_derivative)
+        later = integrate_radial(ch, seed, (math.nextafter(r0, 1.0), 1.0), tol=1e-10)
+        assert later.r[0] > r0
+        # the same march: the window only chooses what is recorded
+        assert np.array_equal(later.r, sample.r[1:])
+        assert later.n_steps == sample.n_steps
 
     def test_overflowing_solution_reports_radius(self):
         # a huge index makes the below-barrier growth overflow doubles
@@ -172,25 +208,36 @@ class TestIntegrateRadial:
             seed_value=1.0, seed_derivative=500.5 / 1e-2,
         )
         with pytest.raises(IntegrationError) as err:
-            integrate_radial(ch, seed, np.geomspace(1e-2, 1e4, 50), tol=1e-10)
+            integrate_radial(ch, seed, (1e-2, 1e4), tol=1e-10)
         assert err.value.radius > 0.0
 
     def test_input_validation(self):
         ch = _channel(3, 1.0, 1.0, 0)
         seed = frobenius_seed(ch, 1e-2)
-        with pytest.raises(ValueError):  # grid starts below the match radius
-            integrate_radial(ch, seed, np.geomspace(1e-3, 1.0, 8), tol=1e-10)
+        with pytest.raises(ValueError, match="r_window"):  # below the match radius
+            integrate_radial(ch, seed, (1e-3, 1.0), tol=1e-10)
         # a negative tolerance, and one below double rounding that the
         # step control could never meet
         for tol in (-1e-10, 1e-30):
             with pytest.raises(ValueError, match="tol"):
-                integrate_radial(ch, seed, np.geomspace(1e-2, 1.0, 8), tol=tol)
-        with pytest.raises(ValueError):
-            integrate_radial(ch, seed, np.array([1e-2, 1e-2, 1.0]), tol=1e-10)
+                integrate_radial(ch, seed, (1e-2, 1.0), tol=tol)
+        with pytest.raises(ValueError, match="r_window"):  # empty window
+            integrate_radial(ch, seed, (1e-2, 1e-2), tol=1e-10)
         # a hand-built seed is the one way a non-finite state gets in
         bad = dataclasses.replace(seed, seed_value=math.nan)
         with pytest.raises(IntegrationError, match="seed state"):
-            integrate_radial(ch, bad, np.geomspace(1e-2, 1.0, 8), tol=1e-10)
+            integrate_radial(ch, bad, (1e-2, 1.0), tol=1e-10)
+
+    @pytest.mark.parametrize("r_window", [
+        (0.5, 0.1),              # r_lo > r_hi
+        (1e-2, math.inf),        # non-finite r_hi
+        (1e-2, math.nan),
+    ])
+    def test_malformed_window_rejected(self, r_window):
+        ch = _channel(3, 1.0, 1.0, 0)
+        seed = frobenius_seed(ch, 1e-2)
+        with pytest.raises(ValueError, match="r_window"):
+            integrate_radial(ch, seed, r_window, tol=1e-10)
 
 
 # nu_tilde = 1/2, so q = 1 and the pure sinusoid is an exact solution of the
@@ -323,9 +370,9 @@ def _window_fit(ch, window, tol):
     """Tail fit on the theta ``window`` after a march through the public
     stages."""
     r0 = default_match_radius(ch)
-    grid = _sample_grid(ch, r0, window)
-    sample = integrate_radial(ch, frobenius_seed(ch, r0), grid, tol=tol)
-    return extract_phase_amplitude(ch, sample, (grid[1], grid[-1]))
+    r_window = tuple(_radius_at(ch, theta) for theta in window)
+    sample = integrate_radial(ch, frobenius_seed(ch, r0), r_window, tol=tol)
+    return extract_phase_amplitude(ch, sample, r_window)
 
 
 def _assert_same_tail(fit, ref):
@@ -362,13 +409,11 @@ class TestPipeline:
         seed = frobenius_seed(ch, r0)
         seed2 = dataclasses.replace(seed, seed_value=2.0 * seed.seed_value,
                                     seed_derivative=2.0 * seed.seed_derivative)
-        window = default_theta_window(ch)
-        grid = _sample_grid(ch, r0, window)
+        r_window = tuple(_radius_at(ch, theta) for theta in default_theta_window(ch))
         fits = []
         for s in (seed, seed2):
-            sample = integrate_radial(ch, s, grid, tol=1e-11)
-            fits.append(extract_phase_amplitude(
-                ch, sample, (_radius_at(ch, window[0]), grid[-1])))
+            sample = integrate_radial(ch, s, r_window, tol=1e-11)
+            fits.append(extract_phase_amplitude(ch, sample, r_window))
         c1, c2 = (f.phase_amplitude.amplitude_C for f in fits)
         d1, d2 = (f.phase_amplitude.phase_D for f in fits)
         assert c2 == pytest.approx(2.0 * c1, rel=1e-10)
@@ -427,6 +472,8 @@ class TestPipeline:
             _window_fit(ch, (theta_lo, theta_lo + 8.0 * math.pi), tol=1e-10)
 
     def test_sample_density_near_endpoint(self):
+        # the sample is the integrator's accepted steps, so this density
+        # comes from the tolerance, not from an output grid
         ch = _channel(3, 1.0, 1.0, 0)
         sample, _ = solve_channel(ch)
         theta = ch.b * sample.r ** ch.sigma
@@ -456,6 +503,29 @@ class TestPipeline:
             frobenius_seed(ch, r0)
 
 
+class TestAlphaScaling:
+    """Closed-form-free covariance of the numeric tail under r -> lambda r.
+
+    If f solves the radial equation at coupling alpha, lambda^(-nu-1/2)
+    f(lambda r) is the regular solution (f ~ r^(nu+1/2) at the origin) at
+    lambda^(2-mu) alpha, with the same theta. The tail
+    r^(-mu/4) f ~ C sin(theta + D) then keeps D and scales C by
+    lambda^(mu/4 - nu - 1/2), i.e. C ~ alpha^(-nu/(2-mu) - 1/4).
+    """
+
+    @given(d=st.sampled_from((2, 3, 4, 5)),
+           mu=st.sampled_from((0.3, 0.5, 1.0, 1.5, 1.9)),
+           alpha=st.floats(min_value=0.5, max_value=4.0),
+           l=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=20, deadline=None)
+    def test_quadrupled_coupling(self, d, mu, alpha, l):
+        ch, ch4 = (_channel(d, mu, a, l) for a in (alpha, 4.0 * alpha))
+        pa, pa4 = (solve_channel(c)[1].phase_amplitude for c in (ch, ch4))
+        assert abs(circular_difference(pa4.phase_D, pa.phase_D)) <= 1e-9
+        ratio = pa4.amplitude_C / pa.amplitude_C
+        assert ratio == pytest.approx(4.0 ** (-ch.nu / (2.0 - mu) - 0.25), rel=1e-8)
+
+
 class TestCost:
     """Deterministic cost guards: accepted integrator steps, not time."""
 
@@ -463,7 +533,7 @@ class TestCost:
     def test_steps_grow_linearly_in_nu_tilde(self, d, alpha, l_30, l_150):
         # mu = 1.9: nu_tilde = 30 at l_30 and 150 at l_150; linear growth
         # gives a step ratio near 5, quadratic growth 25. (5, 1.9, 0.5, 6)
-        # is the sweep's hardest channel: 14,461 steps with the march
+        # is the sweep's hardest channel: 14,391 steps with the march
         # stopped at the end of the three periods from theta = 1.5 nu_tilde.
         steps = []
         for l in (l_30, l_150):
