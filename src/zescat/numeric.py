@@ -8,8 +8,12 @@ The route is deliberately disjoint from :mod:`zescat.closedform`:
        c_k = -alpha c_{k-1} / (k(2-mu) (k(2-mu) + 2 nu))
 
    follows from substituting the series into the radial equation,
-2. integrate outward in r with an adaptive Dormand-Prince 5(4) pair,
-3. extract the tail amplitude C and phase D by linear least squares
+2. cross the classically forbidden zone up to theta = 0.95 nu_tilde as a
+   Riccati equation for W = r f'/f and log f in t = log r, where f has no
+   zero and W is smooth, while f itself grows over many decades of r,
+3. integrate the linear equation outward in r from there with an
+   adaptive Dormand-Prince 5(4) pair,
+4. extract the tail amplitude C and phase D by linear least squares
    against the two Kummer-phase solutions of the tail equation.
 
 In the oscillation variable theta = b r^sigma, u = r^(-mu/4) f solves
@@ -22,10 +26,11 @@ Phi - theta -> 0 carries (C, D) to infinity analytically. The march can
 therefore stop just past the turning point theta = nu_tilde: the default
 fit window is three periods, [theta_lo, theta_lo + 6 pi] with
 theta_lo = max(20, 1.5 nu_tilde), sampled at the integrator's own
-accepted steps. The cost grows as nu_tilde, not nu_tilde^2: 14,391
-integrator steps for the hardest sweep channel (d = 5, mu = 1.9,
-alpha = 0.5, l = 6, nu_tilde = 150). Over the 420-channel verification
-sweep the fit agrees with the closed form to 2.1e-10 in D and 4.5e-9 in C.
+accepted steps. The cost grows as nu_tilde, not nu_tilde^2: 3,783
+integrator steps (1,972 Riccati, 1,811 linear) for the hardest sweep
+channel (d = 5, mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150). Over the
+420-channel verification sweep the fit agrees with the closed form to
+2.1e-10 in D and 4.6e-10 in C.
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -33,7 +38,7 @@ Channels are independent pure computations and may run concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,6 +69,7 @@ _MIN_RTOL = 2.0 ** -52     # tighter tolerances cannot be met in doubles
 _MIN_WINDOW_THETA = 20.0
 _ROUNDING = 2.0 ** -53     # half an ulp of 1
 _FIT_TOL = 1e-5
+_RICCATI_END = 0.95    # the Riccati march hands over at theta = 0.95 nu_tilde
 
 
 class IntegrationError(RuntimeError):
@@ -105,7 +111,11 @@ class FrobeniusSeed:
 
 @dataclass(frozen=True, eq=False)
 class RadialSolutionSample:
-    """Accepted integrator states at strictly increasing radii, plus stats."""
+    """Accepted integrator states at strictly increasing radii, plus stats.
+
+    From :func:`solve_channel`, ``n_steps``, ``n_rejected`` and
+    ``max_error_estimate`` cover the Riccati march and the linear march.
+    """
 
     r: np.ndarray
     f: np.ndarray
@@ -168,9 +178,10 @@ def default_rtol(theta_max: float) -> float:
     """Integrator tolerance: 1e-10, or 4e-7/theta_max once the window ends
     past theta = 4000 (nu_tilde above about 2650 with the default window).
 
-    The fit's error in C is integrator error, linear in the tolerance: it
-    tracks about 3.5e-3 tol n_steps relative, 9e-10 to 1.2e-8 at 1e-10 for
-    nu_tilde from 21 to 161, while D stays within about 3e-11."""
+    The fit's error in C is integrator error, linear in the tolerance: at
+    1e-10 it tracks about 1.2e-3 tol n_steps relative (Riccati and linear
+    steps together), 1.0e-10 to 5.3e-10 for nu_tilde from 20 to 161, while
+    D stays within about 5e-11."""
     return min(_DEFAULT_RTOL, 4e-7 / theta_max)
 
 
@@ -430,6 +441,130 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed,
     )
 
 
+def _riccati_march(ch: Channel, seed: FrobeniusSeed, r_end: float,
+                   tol: float) -> tuple[float, float, int, int, float]:
+    """March the log-derivative W = r f'/f and log f from the seed to r_end.
+
+    In t = log r the radial equation becomes the Riccati equation
+
+        W' = W - W^2 + nu^2 - 1/4 - alpha e^((2-mu) t),   (log f)' = W.
+
+    Below the turning point the regular solution has no zero, so W is
+    smooth and the attracting solution of the forward march: the steps
+    follow W, not the growth of f over many decades of r. The Dormand-Prince
+    pair and PI control are those of :func:`integrate_radial`, at the same
+    ``tol``; W's error is measured against tol (1 + |W|) and log f's
+    against tol absolute, since it is the relative error of f. The last step
+    is shortened to end exactly at log r_end.
+
+    Returns
+    -------
+    tuple
+        ``(W, log f, n_steps, n_rejected, max_error_estimate)`` at r_end.
+
+    Raises
+    ------
+    IntegrationError
+        A step size that underflows t, or a state that stays non-finite
+        however small the step.
+    """
+    r0 = float(seed.match_radius)
+    w = r0 * float(seed.seed_derivative) / float(seed.seed_value)
+    lf = math.log(seed.seed_value)
+    t = math.log(r0)
+    t_end = math.log(r_end)
+    # Python floats throughout, as in integrate_radial; alpha e^((2-mu) t) is
+    # formed as one exp, which cannot overflow below r_end
+    a2 = float(ch.nu) ** 2 - 0.25
+    step = 2.0 - float(ch.mu)
+    log_alpha = math.log(ch.alpha) if ch.alpha > 0.0 else -math.inf
+    rtol = float(tol)
+    exp = math.exp
+    isfinite = math.isfinite
+    sqrt = math.sqrt
+
+    k1 = w - w * w + a2 - exp(log_alpha + step * t)
+    h = 0.01 / max(abs(w), 1.0)
+    errold = 1e-4
+    n_steps = 0
+    n_rej = 0
+    max_err = 0.0
+
+    while t < t_end:
+        last = t + h >= t_end
+        if last:
+            h = t_end - t
+        elif h < 5e-15 * max(abs(t), 1.0):
+            raise IntegrationError("step size underflow", exp(t))
+
+        # Dormand-Prince stages for W (FSAL); log f is the quadrature of the
+        # stage values of W with the same weights. In the exponent of
+        # alpha e^((2-mu) t), lx is its value at t and sh its growth over h.
+        lx = log_alpha + step * t
+        sh = step * h
+        y2 = w + h * 0.2 * k1
+        k2 = y2 - y2 * y2 + a2 - exp(lx + 0.2 * sh)
+        y3 = w + h * (0.075 * k1 + 0.225 * k2)
+        k3 = y3 - y3 * y3 + a2 - exp(lx + 0.3 * sh)
+        y4 = w + h * ((44.0 / 45.0) * k1 - (56.0 / 15.0) * k2 + (32.0 / 9.0) * k3)
+        k4 = y4 - y4 * y4 + a2 - exp(lx + 0.8 * sh)
+        y5 = w + h * ((19372.0 / 6561.0) * k1 - (25360.0 / 2187.0) * k2
+                      + (64448.0 / 6561.0) * k3 - (212.0 / 729.0) * k4)
+        k5 = y5 - y5 * y5 + a2 - exp(lx + (8.0 / 9.0) * sh)
+        x_end = exp(lx + sh)     # stages 6 and 7
+        y6 = w + h * ((9017.0 / 3168.0) * k1 - (355.0 / 33.0) * k2
+                      + (46732.0 / 5247.0) * k3 + (49.0 / 176.0) * k4
+                      - (5103.0 / 18656.0) * k5)
+        k6 = y6 - y6 * y6 + a2 - x_end
+
+        nw = w + h * ((35.0 / 384.0) * k1 + (500.0 / 1113.0) * k3
+                      + (125.0 / 192.0) * k4 - (2187.0 / 6784.0) * k5
+                      + (11.0 / 84.0) * k6)
+        nlf = lf + h * ((35.0 / 384.0) * w + (500.0 / 1113.0) * y3
+                        + (125.0 / 192.0) * y4 - (2187.0 / 6784.0) * y5
+                        + (11.0 / 84.0) * y6)
+        k7 = nw - nw * nw + a2 - x_end
+
+        ew = h * ((71.0 / 57600.0) * k1 - (71.0 / 16695.0) * k3
+                  + (71.0 / 1920.0) * k4 - (17253.0 / 339200.0) * k5
+                  + (22.0 / 525.0) * k6 - (1.0 / 40.0) * k7)
+        el = h * ((71.0 / 57600.0) * w - (71.0 / 16695.0) * y3
+                  + (71.0 / 1920.0) * y4 - (17253.0 / 339200.0) * y5
+                  + (22.0 / 525.0) * y6 - (1.0 / 40.0) * nw)
+
+        if not (isfinite(nw) and isfinite(nlf) and isfinite(ew) and isfinite(el)):
+            n_rej += 1
+            h *= 0.25
+            if h < 5e-15 * max(abs(t), 1.0):
+                raise IntegrationError("state became non-finite", exp(t))
+            continue
+
+        ew /= rtol * (1.0 + abs(nw))
+        el /= rtol
+        # products, not powers: an overflow gives inf and rejects the step
+        err = sqrt(0.5 * (ew * ew + el * el))
+
+        if err <= 1.0:
+            n_steps += 1
+            if err > max_err:
+                max_err = err
+            t = t_end if last else t + h
+            w = nw
+            lf = nlf
+            k1 = k7
+            if err > 0.0:
+                fac = 0.9 * err ** -0.14 * errold ** 0.08
+            else:
+                fac = 5.0
+            errold = max(err, 1e-10)
+        else:
+            n_rej += 1
+            fac = max(0.2, 0.9 * err ** -0.2)
+        h *= min(5.0, max(0.2, fac))
+
+    return w, lf, n_steps, n_rej, max_err
+
+
 def _kummer_series(nu_tilde: float, theta_lo: float) -> tuple[list, list]:
     """Kummer-phase basis of u'' + q u = 0, q = 1 - c/theta^2,
     c = nu_tilde^2 - 1/4, as series scaled for theta >= theta_lo.
@@ -548,9 +683,15 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
 def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
     """Run the full pipeline for one channel with the default policies.
 
-    Seeds at :func:`default_match_radius`, integrates to the end of the
-    fit window from :func:`default_theta_window`, and extracts (C, D). The
-    integrator tolerance is always :func:`default_rtol` of the window end.
+    Seeds at :func:`default_match_radius`. Where the seed lies below
+    theta = 0.95 nu_tilde, the forbidden zone up to there is crossed by a
+    Riccati march of W = r f'/f and log f, and the linear march restarts
+    from f = exp(log f), f' = W f/r; otherwise the linear march starts at
+    the seed. It runs to the end of the fit window from
+    :func:`default_theta_window`, and (C, D) are extracted there. Both
+    marches use :func:`default_rtol` of the window end, and the returned
+    sample's ``n_steps``, ``n_rejected`` and ``max_error_estimate`` cover
+    both.
     """
     r0 = default_match_radius(ch)
     theta_lo, theta_max = default_theta_window(ch)
@@ -562,7 +703,28 @@ def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
             "outside the representable radial range for this channel "
             "(nu_tilde and mu too extreme for the numerical route)"
         )
-    sample = integrate_radial(ch, seed, r_window, tol=default_rtol(theta_max))
+    tol = default_rtol(theta_max)
+    start, n_steps, n_rej, max_err = seed, 0, 0, 0.0
+    theta_m = _RICCATI_END * ch.nu_tilde
+    if theta_m > ch.b * r0 ** ch.sigma:
+        r_m = _radius_at(ch, theta_m)
+        w, log_f, n_steps, n_rej, max_err = _riccati_march(ch, seed, r_m, tol)
+        try:
+            f_m = math.exp(log_f)
+        except OverflowError:
+            f_m = math.inf
+        fp_m = w * f_m / r_m
+        if not (math.isfinite(f_m) and math.isfinite(fp_m)):
+            raise IntegrationError(
+                f"state became non-finite: log f = {log_f:.4g}", r_m)
+        # the restart state takes the seed's place as the linear march's start
+        start = replace(seed, match_radius=r_m, seed_value=f_m,
+                        seed_derivative=fp_m)
+    sample = integrate_radial(ch, start, r_window, tol=tol)
+    sample = replace(
+        sample, n_steps=n_steps + sample.n_steps,
+        n_rejected=n_rej + sample.n_rejected,
+        max_error_estimate=max(max_err, sample.max_error_estimate))
     fit = extract_phase_amplitude(ch, sample, r_window)
     return sample, fit
 

@@ -101,7 +101,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, reason", [
         # the origin seed would need a radius below the double range
         (["phase-table", "-d", "3", "--mu", "1.999999"], "mu too close to 2"),
-        # the integrator state overflows before the fit window
+        # f at the Riccati march's hand-over radius, before the fit
+        # window, leaves the double range
         (["verify", "-d", "4", "--mu", "1.0", "--alpha", "1e-300"], "non-finite"),
         # a huge coupling also pushes the seed radius below that range
         (["phase-table", "-d", "3", "--mu", "0.3", "--alpha", "1e250"],

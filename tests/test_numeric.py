@@ -31,7 +31,9 @@ from zescat import (
 from zescat.numeric import (
     _kummer_series,
     _radius_at,
+    _riccati_march,
     default_match_radius,
+    default_rtol,
     default_theta_window,
 )
 
@@ -503,6 +505,73 @@ class TestPipeline:
             frobenius_seed(ch, r0)
 
 
+class TestRiccatiMarch:
+    """The march of W = r f'/f and log f across the forbidden zone."""
+
+    def test_zero_coupling_keeps_the_pure_power(self):
+        # alpha = 0: f = r^(nu+1/2) exactly, so W = nu + 1/2 is a fixed
+        # point and log f = (nu + 1/2) log r (validation bypass, as above)
+        ch = Channel(d=3, mu=1.0, alpha=0.0, l=2)
+        seed = frobenius_seed(ch, 1e-2)
+        for r_end in (1e3, 1e12):
+            w, log_f, n_steps, _, _ = _riccati_march(ch, seed, r_end, tol=1e-10)
+            assert n_steps > 0
+            assert w == pytest.approx(ch.nu + 0.5, abs=1e-13)
+            assert log_f == pytest.approx((ch.nu + 0.5) * math.log(r_end), abs=1e-13)
+
+    @REFERENCE_CHANNELS
+    def test_matches_the_linear_march(self, d, mu, alpha, l):
+        # closed-form-free: the linear march from the seed to the hand-over
+        # radius, at tol = 1e-12 so that its own error stays near 1e-11,
+        # gives the same (W, log f) as the Riccati march at solve_channel's
+        # tolerance
+        ch = _channel(d, mu, alpha, l)
+        r0 = default_match_radius(ch)
+        seed = frobenius_seed(ch, r0)
+        r_m = _radius_at(ch, 0.95 * ch.nu_tilde)
+        tol = default_rtol(default_theta_window(ch)[1])
+        w, log_f, _, _, _ = _riccati_march(ch, seed, r_m, tol)
+        ref = integrate_radial(ch, seed, (r0, r_m), tol=1e-12)
+        assert ref.r[-1] == r_m
+        assert abs(w - ref.r[-1] * ref.df[-1] / ref.f[-1]) <= 1e-9
+        assert abs(log_f - math.log(ref.f[-1])) <= 1e-9
+
+    def test_no_forbidden_zone_keeps_the_linear_march(self):
+        # nu = 0 (d = 2, l = 0): 0.95 nu_tilde = 0 lies below the seed, so
+        # solve_channel runs the linear march from the seed alone
+        ch = _channel(2, 0.3, 1.0, 0)
+        window = default_theta_window(ch)
+        r_window = tuple(_radius_at(ch, theta) for theta in window)
+        seed = frobenius_seed(ch, default_match_radius(ch))
+        ref = integrate_radial(ch, seed, r_window, tol=default_rtol(window[1]))
+        sample, fit = solve_channel(ch)
+        assert (sample.n_steps, sample.n_rejected) == (ref.n_steps, ref.n_rejected)
+        assert np.array_equal(sample.f, ref.f)
+        assert fit.phase_amplitude == extract_phase_amplitude(
+            ch, ref, r_window).phase_amplitude
+
+    @pytest.mark.parametrize("d, mu, alpha, l", [(3, 1.0, 1.0, 80), (3, 1.0, 4.0, 80)])
+    def test_deep_forbidden_zone_amplitude(self, d, mu, alpha, l):
+        # nu_tilde 161, past the sweep: the linear march from the seed alone
+        # holds C to only about 1e-8 here, in some 30,000 steps
+        ch = _channel(d, mu, alpha, l)
+        sample, fit = solve_channel(ch)
+        pa = fit.phase_amplitude
+        assert abs(circular_difference(pa.phase_D, closed_form_phase(ch))) <= 1e-9
+        assert abs(pa.amplitude_C / closed_form_amplitude(ch) - 1.0) <= 1e-9
+        assert sample.n_steps <= 6_000
+
+    @pytest.mark.parametrize("d, mu, alpha, l", [(3, 1.0, 0.5, 80), (4, 1.0, 1.0, 100)])
+    def test_amplitude_beyond_double_range_fails_at_hand_over(self, d, mu, alpha, l):
+        # log C = 716 and 873: f leaves the double range before the window,
+        # which is reported as the documented integration failure at the
+        # hand-over radius, not as a bare OverflowError
+        ch = _channel(d, mu, alpha, l)
+        with pytest.raises(IntegrationError, match="non-finite") as err:
+            solve_channel(ch)
+        assert err.value.radius == _radius_at(ch, 0.95 * ch.nu_tilde)
+
+
 class TestAlphaScaling:
     """Closed-form-free covariance of the numeric tail under r -> lambda r.
 
@@ -533,15 +602,17 @@ class TestCost:
     def test_steps_grow_linearly_in_nu_tilde(self, d, alpha, l_30, l_150):
         # mu = 1.9: nu_tilde = 30 at l_30 and 150 at l_150; linear growth
         # gives a step ratio near 5, quadratic growth 25. (5, 1.9, 0.5, 6)
-        # is the sweep's hardest channel: 14,391 steps with the march
-        # stopped at the end of the three periods from theta = 1.5 nu_tilde.
+        # is the sweep's hardest channel: 3,783 steps, the Riccati march
+        # to 0.95 nu_tilde and the linear one to the end of the three
+        # periods from theta = 1.5 nu_tilde (the linear march alone from
+        # the seed takes 14,391).
         steps = []
         for l in (l_30, l_150):
             ch = _channel(d, 1.9, alpha, l)
             sample, _ = solve_channel(ch)
             steps.append(sample.n_steps)
         assert ch.nu_tilde == pytest.approx(150.0)
-        assert steps[1] <= 20_000
+        assert steps[1] <= 4_000
         assert steps[1] / steps[0] <= 8.0
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zescat import _kernels, bessel_j, bessel_j_asymptotic, gamma, log_gamma
@@ -187,6 +187,7 @@ class TestBesselJ:
         s=st.floats(min_value=1e-6, max_value=12.0),
     )
     @settings(max_examples=300, deadline=None)
+    @example(nu=0.0, s=11.791015625)    # next to the fourth zero of J_0
     def test_series_oracle_agreement(self, nu, s):
         ref = bessel_j_series_only(nu, s)
         assert abs(bessel_j(nu, s) - ref) <= 1e-10 * abs(ref) + 1e-13
