@@ -5,8 +5,8 @@ Computes, for the operator -Laplacian - alpha |x|^(-mu) on R^d (d >= 2,
 zero-energy radial solution in every angular-momentum channel, and the
 resulting diagonal action of the zero-energy scattering matrix S(0) on
 spherical harmonics. A closed-form Bessel evaluation and an independent
-numerical pipeline (Frobenius seed, adaptive integration, least-squares
-tail fit) are both provided and cross-checked.
+numerical pipeline (Frobenius seed, adaptive integration, a Wronskian
+match to the Kummer-phase tail basis) are both provided and cross-checked.
 """
 
 from .channels import (

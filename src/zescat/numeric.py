@@ -13,8 +13,8 @@ The route is deliberately disjoint from :mod:`zescat.closedform`:
    zero and W is smooth, while f itself grows over many decades of r,
 3. integrate the linear equation outward in r from there with an
    adaptive Dormand-Prince 5(4) pair,
-4. extract the tail amplitude C and phase D by linear least squares
-   against the two Kummer-phase solutions of the tail equation.
+4. read the tail amplitude C and phase D off the state (u, u') at one
+   sample through the two Kummer-phase solutions of the tail equation.
 
 In the oscillation variable theta = b r^sigma, u = r^(-mu/4) f solves
 u'' + q u = 0 with q = 1 - (nu_tilde^2 - 1/4)/theta^2. Its solutions are
@@ -22,15 +22,15 @@ Y^(1/2) sin(Phi) and Y^(1/2) cos(Phi), where Y = 1/Phi' is the
 non-oscillatory squared envelope. Y solves a linear equation whose series
 in theta^(-2) has a one-term recurrence in q alone, so no Bessel algebra
 enters; it holds to rounding from theta = 1.5 nu_tilde out, and
-Phi - theta -> 0 carries (C, D) to infinity analytically. The march can
-therefore stop just past the turning point theta = nu_tilde: the default
-fit window is three periods, [theta_lo, theta_lo + 6 pi] with
-theta_lo = max(20, 1.5 nu_tilde), sampled at the integrator's own
-accepted steps. The cost grows as nu_tilde, not nu_tilde^2: 3,783
-integrator steps (1,972 Riccati, 1,811 linear) for the hardest sweep
+Phi - theta -> 0 carries (C, D) to infinity analytically. The two have
+Wronskian -1, so the state at theta_lo = max(20, 1.5 nu_tilde), past the
+turning point theta = nu_tilde, fixes (C, D); the march stops one period
+later, and that period, sampled at the integrator's own accepted steps,
+only checks the match. The cost grows as nu_tilde, not nu_tilde^2: 3,482
+integrator steps (1,972 Riccati, 1,510 linear) for the hardest sweep
 channel (d = 5, mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150). Over the
-420-channel verification sweep the fit agrees with the closed form to
-2.1e-10 in D and 4.6e-10 in C.
+420-channel verification sweep the match agrees with the closed form to
+1.8e-10 in D and 3.9e-10 in C.
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -127,7 +127,7 @@ class RadialSolutionSample:
 
 @dataclass(frozen=True, eq=False)
 class TailFit:
-    """Least-squares tail extraction with its quality diagnostics."""
+    """Tail (C, D) matched at the window start, with quality diagnostics."""
 
     phase_amplitude: PhaseAmplitude
     residual_rms: float
@@ -166,22 +166,23 @@ def default_theta_window(ch: Channel) -> tuple[float, float]:
 
     Starts at max(20, 1.5 nu_tilde), 1.5 times the turning point
     theta = nu_tilde, from where the fit basis holds to rounding, and spans
-    three periods (450-683 accepted integrator steps on the verification
-    sweep at :func:`default_rtol`). The seed sits at theta <= 12
-    (:func:`default_match_radius`), so the window always lies past it.
+    one period, over which the match is checked (147-245 accepted
+    integrator steps on the verification sweep at :func:`default_rtol`).
+    The seed sits at theta <= 12 (:func:`default_match_radius`), so the
+    window always lies past it.
     """
     theta_lo = max(_MIN_WINDOW_THETA, 1.5 * ch.nu_tilde)
-    return theta_lo, theta_lo + 6.0 * math.pi
+    return theta_lo, theta_lo + 2.0 * math.pi
 
 
 def default_rtol(theta_max: float) -> float:
     """Integrator tolerance: 1e-10, or 4e-7/theta_max once the window ends
-    past theta = 4000 (nu_tilde above about 2650 with the default window).
+    past theta = 4000 (nu_tilde above about 2660 with the default window).
 
-    The fit's error in C is integrator error, linear in the tolerance: at
-    1e-10 it tracks about 1.2e-3 tol n_steps relative (Riccati and linear
-    steps together), 1.0e-10 to 5.3e-10 for nu_tilde from 20 to 161, while
-    D stays within about 5e-11."""
+    The match's error in C is integrator error, linear in the tolerance: at
+    1e-10 it stays below about 1.1e-3 tol n_steps relative (Riccati and
+    linear steps together), 3.0e-11 to 4.6e-10 for nu_tilde from 20 to 161,
+    while D stays within about 3e-11."""
     return min(_DEFAULT_RTOL, 4e-7 / theta_max)
 
 
@@ -593,31 +594,35 @@ def _kummer_series(nu_tilde: float, theta_lo: float) -> tuple[list, list]:
 
 def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
                             window: tuple[float, float]) -> TailFit:
-    """Fit r^(-mu/4) f against the Kummer-phase basis of theta = b r^sigma.
+    """Match r^(-mu/4) f to the Kummer-phase basis of theta = b r^sigma.
 
     In theta, u = r^(-mu/4) f solves u'' + q u = 0 with
     q = 1 - (nu_tilde^2 - 1/4)/theta^2, whose solutions are exactly
-    u = Y^(1/2) (A sin Phi + B cos Phi), Y = 1/Phi' the squared envelope
-    and Phi = theta - sum_{k>=1} a_k theta^(1-2k)/(2k-1), so Phi - theta
-    -> 0 (``_kummer_series``, scaled at the window start).
-    Ordinary least squares on those two columns gives the tail amplitude
-    and phase C = hypot(A, B), D = atan2(B, A) reduced to (-pi, pi].
+    u = C Y^(1/2) sin(Phi + D), Y = 1/Phi' the squared envelope and
+    Phi = theta - sum_{k>=1} a_k theta^(1-2k)/(2k-1), so Phi - theta -> 0
+    (``_kummer_series``, scaled at the window start). Y^(1/2) sin Phi and
+    Y^(1/2) cos Phi have Wronskian -1, so with g = Y'/(2Y) the state at the
+    window's first sample gives C sin(Phi + D) = u Y^(-1/2) and
+    C cos(Phi + D) = Y^(1/2) (u' - g u); D is reduced to (-pi, pi]. The
+    rest of the window checks the match: ``residual_rms`` is the rms of
+    u - C Y^(1/2) sin(Phi + D) there, and ``condition_number`` that of the
+    basis matrix [[u1, u2], [u1', u2']] at the match point.
 
     Raises
     ------
     FitWindowError
-        Degenerate window (fewer than 10 points or under 2 oscillation
-        periods), window outside the deep oscillatory regime
+        Degenerate window (fewer than 10 points or under one oscillation
+        period), window outside the deep oscillatory regime
         (theta_lo < 20), window starting at or inside the turning point
-        (theta_lo <= nu_tilde), or a rank-deficient design.
+        (theta_lo <= nu_tilde), or a zero state at the match point.
     TailFitError
-        Residual RMS above 1e-5 times the fitted amplitude.
+        Residual RMS above 1e-5 times the matched amplitude.
     """
     r_lo, r_hi = float(window[0]), float(window[1])
     if not (0.0 < r_lo < r_hi):
         raise FitWindowError(f"invalid window {window!r}")
     theta_lo = float(_theta_of(ch, r_lo))
-    # tiny slack: r_lo is often produced by the inverse map theta -> r
+    # tiny slack, here and on the length: windows often come from theta -> r
     if theta_lo < _MIN_WINDOW_THETA * (1.0 - 1e-9):
         raise FitWindowError(
             f"window starts at theta = {theta_lo:.3g} < {_MIN_WINDOW_THETA}; "
@@ -631,53 +636,46 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
         )
     mask = (sample.r >= r_lo) & (sample.r <= r_hi)
     n_pts = int(np.count_nonzero(mask))
-    r = sample.r[mask]
+    r, f, df = sample.r[mask], sample.f[mask], sample.df[mask]
     if n_pts < 10:
         raise FitWindowError(f"window holds only {n_pts} sample points (< 10)")
     theta = _theta_of(ch, r)
     theta_hi = float(theta[-1])
-    if theta_hi - theta_lo < 4.0 * math.pi:
-        raise FitWindowError(
-            f"window spans {(theta_hi - theta_lo) / (2 * math.pi):.2f} "
-            "oscillation periods (< 2)"
-        )
-    u = r ** (-ch.mu / 4.0) * sample.f[mask]
-
+    if theta_hi < (theta_lo + 2.0 * math.pi) * (1.0 - 1e-9):
+        raise FitWindowError(f"window spans {(theta_hi - theta_lo) / (2 * math.pi):.2f}"
+                             " oscillation periods (< 1)")
+    u = r ** (-ch.mu / 4.0) * f
     t, a = _kummer_series(ch.nu_tilde, theta_lo)
     s = (theta_lo / theta) ** 2
-    envelope = np.sqrt(np.polyval(t[::-1], s))
+    big_y = np.polyval(t[::-1], s)
     odd = np.arange(1, 2 * len(a) - 1, 2)    # 2k - 1 for k >= 1
     phi = theta - theta * s * np.polyval((np.array(a[1:]) / odd)[::-1], s)
-    design = np.stack([envelope * np.sin(phi), envelope * np.cos(phi)], axis=1)
-    norms = np.sqrt(np.mean(design * design, axis=0))
-    y_scale = float(np.max(np.abs(u)))
-    if y_scale == 0.0:
-        raise FitWindowError("window contains an identically zero solution")
-    # fit and residual in units of y_scale, so that neither squaring the
-    # residual nor the design product under- or overflows at any amplitude
-    u = u / y_scale
-    coef, _, rank, sv = np.linalg.lstsq(design / norms, u, rcond=None)
-    if rank < design.shape[1]:
-        raise FitWindowError("rank-deficient least-squares design")
-    coef = coef / norms
-    residual = u - design @ coef
-    rms = float(np.sqrt(np.mean(residual * residual))) * y_scale
-    coef = coef * y_scale
-    amplitude = float(np.hypot(coef[0], coef[1]))
-    phase = reduce_angle(math.atan2(coef[1], coef[0]))
+    # the state at the first sample; u' = du/dtheta is formed from f', not
+    # f'/f, since the sample may sit at a node of f
+    r0, u0, y0, theta0 = float(r[0]), float(u[0]), float(big_y[0]), float(theta[0])
+    du0 = (r0 ** (1.0 - ch.mu / 4.0) / (ch.sigma * theta0)
+           * (float(df[0]) - ch.mu * float(f[0]) / (4.0 * r0)))
+    j = np.arange(len(t))
+    g = -float(np.dot(j * t, s[0] ** j)) / (theta0 * y0)    # Y'/(2Y)
+    sin_part, cos_part = u0 / math.sqrt(y0), math.sqrt(y0) * (du0 - g * u0)
+    amplitude = math.hypot(sin_part, cos_part)
+    if not 0.0 < amplitude < math.inf:
+        raise FitWindowError(f"window starts at a state of amplitude {amplitude:.3g}")
+    phase = reduce_angle(math.atan2(sin_part, cos_part) - float(phi[0]))
+    # in units of the amplitude, so that squaring neither under- nor overflows
+    residual = u / amplitude - np.sqrt(big_y) * np.sin(phi + phase)
+    rms = float(np.sqrt(np.mean(residual * residual))) * amplitude
     if not (rms <= _FIT_TOL * amplitude):
-        raise TailFitError(
-            f"fit residual rms {rms:.3g} exceeds {_FIT_TOL:g} x amplitude "
-            f"({amplitude:.3g})"
-        )
+        raise TailFitError(f"fit residual rms {rms:.3g} exceeds {_FIT_TOL:g} x "
+                           f"amplitude ({amplitude:.3g})")
+    # det = -1: the singular values have product 1 and squares summing to the
+    # squared Frobenius norm 2n, so cond = n + sqrt(n^2 - 1), n >= 1
+    n = max(0.5 * (y0 * (1.0 + g * g) + 1.0 / y0), 1.0)
     return TailFit(
         phase_amplitude=PhaseAmplitude(amplitude_C=amplitude, phase_D=phase),
-        residual_rms=rms,
-        r_lo=float(r[0]), r_hi=float(r[-1]),
-        theta_lo=theta_lo, theta_hi=theta_hi,
-        n_points=n_pts,
-        condition_number=float(sv[0] / sv[-1]),
-    )
+        residual_rms=rms, r_lo=r0, r_hi=float(r[-1]), theta_lo=theta_lo,
+        theta_hi=theta_hi, n_points=n_pts,
+        condition_number=n + math.sqrt(n * n - 1.0))
 
 
 def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:

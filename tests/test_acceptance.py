@@ -1,8 +1,9 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
-complete. The numeric sweep (criteria 2 and 3, and the sweep accuracy gate)
-runs once and is shared; it takes about 2 seconds on 2 CPUs.
+complete. The numeric sweep (criteria 2 and 3, the sweep accuracy gate and
+the step budget) runs once and is shared; it takes about 1.2 seconds on
+2 CPUs.
 """
 
 import json
@@ -61,7 +62,7 @@ def sweep():
     """Full numeric-versus-closed-form sweep, shared by criteria 2 and 3."""
     rows = []
     for params, ch in _sweep_channels():
-        _, fit = solve_channel(ch)
+        sample, fit = solve_channel(ch)
         pa = fit.phase_amplitude
         d_closed = closed_form_phase(ch)
         c_closed = closed_form_amplitude(ch)
@@ -75,6 +76,7 @@ def sweep():
             "phase_dev": abs(circular_difference(pa.phase_D, d_closed)),
             "amp_rel_dev": abs(pa.amplitude_C / c_closed - 1.0),
             "variant_ratio": variant_ratio,
+            "n_steps": sample.n_steps,
         })
     return rows
 
@@ -103,14 +105,22 @@ def test_criterion_2_tail_numeric_vs_closed_form(sweep):
 
 
 def test_sweep_accuracy_gate(sweep):
-    # tighter than criterion 2: pins the accuracy of the default fit window,
-    # three periods from 1.5 times the turning point, reached by the
-    # Riccati march across the forbidden zone and the linear march after it
+    # tighter than criterion 2: pins the accuracy of the match at 1.5 times
+    # the turning point, checked over the one period after it and reached by
+    # the Riccati march across the forbidden zone and the linear march after it
     worst_phase = max(row["phase_dev"] for row in sweep)
     worst_amp = max(row["amp_rel_dev"] for row in sweep)
     assert worst_phase <= 1e-9 and worst_amp <= 1e-9, (
         f"max |dD| = {worst_phase:.3e} rad (tol 1e-9), "
         f"max |dC|/C = {worst_amp:.3e} (tol 1e-9)")
+
+
+def test_sweep_step_budget(sweep):
+    # deterministic cost guard: the Riccati march to 0.95 nu_tilde and the
+    # linear march to one period past 1.5 nu_tilde take 451,689 accepted
+    # steps over the 420 channels
+    total = sum(row["n_steps"] for row in sweep)
+    assert total <= 460_000, f"{total} accepted integrator steps (budget 460,000)"
 
 
 def test_criterion_3_amplitude_constant_reading(sweep):

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -251,7 +252,10 @@ def _synthetic_sample(ch, amplitude, phase, theta_lo=60.0, periods=20, n=4000):
     theta = np.linspace(theta_lo, theta_lo + periods * 2.0 * math.pi, n)
     r = (theta / ch.b) ** (1.0 / ch.sigma)
     y = amplitude * np.sin(theta + phase)
-    return RadialSolutionSample(r=r, f=r ** (ch.mu / 4.0) * y, df=np.zeros_like(r),
+    dy = amplitude * np.cos(theta + phase) * ch.sigma * theta / r    # dy/dr
+    # f = r^(mu/4) y and f' = r^(mu/4) (y' + mu y/(4r))
+    return RadialSolutionSample(r=r, f=r ** (ch.mu / 4.0) * y,
+                                df=r ** (ch.mu / 4.0) * (dy + ch.mu * y / (4.0 * r)),
                                 n_steps=0, n_rejected=0, max_error_estimate=0.0)
 
 
@@ -335,13 +339,16 @@ class TestExtractPhaseAmplitude:
         r_of = lambda th: (th / ch.b) ** (1.0 / ch.sigma)
         with pytest.raises(FitWindowError):  # not deep oscillatory
             extract_phase_amplitude(ch, sample, (r_of(10.0), sample.r[-1]))
-        with pytest.raises(FitWindowError):  # under two periods
+        with pytest.raises(FitWindowError):  # under one period
             extract_phase_amplitude(ch, sample, (r_of(60.0), r_of(60.0 + 3.0)))
         sparse = RadialSolutionSample(
             r=sample.r[::800], f=sample.f[::800], df=sample.df[::800],
             n_steps=0, n_rejected=0, max_error_estimate=0.0)
         with pytest.raises(FitWindowError):  # fewer than 10 points
             extract_phase_amplitude(ch, sparse, (sample.r[0], sample.r[-1]))
+        zero = dataclasses.replace(sample, f=0.0 * sample.f, df=0.0 * sample.df)
+        with pytest.raises(FitWindowError):  # the zero state fixes no tail
+            extract_phase_amplitude(ch, zero, (sample.r[0], sample.r[-1]))
 
     def test_residual_tolerance_enforced(self):
         ch = SINUSOID_CHANNEL
@@ -352,13 +359,38 @@ class TestExtractPhaseAmplitude:
             extract_phase_amplitude(ch, noisy, (sample.r[0], sample.r[-1]))
         # ... and at a tiny amplitude, where the squared residual must not
         # underflow to a vacuous rms of 0
-        tiny = dataclasses.replace(noisy, f=noisy.f * 1e-200)
+        tiny = dataclasses.replace(noisy, f=noisy.f * 1e-200, df=noisy.df * 1e-200)
         with pytest.raises(TailFitError):
             extract_phase_amplitude(ch, tiny, (sample.r[0], sample.r[-1]))
         # noise well under the fixed 1e-5 tolerance still fits
         quiet = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-7 * rng.standard_normal(sample.f.shape)))
         fit = extract_phase_amplitude(ch, quiet, (sample.r[0], sample.r[-1]))
         assert fit.phase_amplitude.amplitude_C == pytest.approx(1.0, rel=1e-5)
+
+    def test_derivative_error_enforced(self):
+        # (C, D) come from the match's state (u, u'), so an f' off by 1e-4
+        # moves them by about 1e-4 and the window's residual shows it
+        ch = SINUSOID_CHANNEL
+        sample = _synthetic_sample(ch, 1.0, 0.3)
+        skewed = dataclasses.replace(sample, df=sample.df * (1.0 + 1e-4))
+        with pytest.raises(TailFitError):
+            extract_phase_amplitude(ch, skewed, (sample.r[0], sample.r[-1]))
+
+    def test_match_at_a_node(self):
+        # a first sample at a node of f, f = 0 exactly: u' comes from f'
+        # alone, so the match neither divides by zero nor warns
+        ch = SINUSOID_CHANNEL
+        sample = _synthetic_sample(ch, 2.0, math.pi - 60.0)
+        f = sample.f.copy()
+        assert abs(f[0]) < 1e-13
+        f[0] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = extract_phase_amplitude(ch, dataclasses.replace(sample, f=f),
+                                          (sample.r[0], sample.r[-1]))
+        assert fit.phase_amplitude.amplitude_C == pytest.approx(2.0, rel=1e-12)
+        assert abs(circular_difference(fit.phase_amplitude.phase_D,
+                                       math.pi - 60.0)) <= 1e-12
 
 
 REFERENCE_CHANNELS = pytest.mark.parametrize("d, mu, alpha, l", [
@@ -422,14 +454,15 @@ class TestPipeline:
         assert abs(circular_difference(d1, d2)) <= 1e-10
 
     def test_window_shift_stability(self):
-        # moving the window start by one period barely moves (C, D); the
-        # floor term covers rounding-level jitter of the near-interpolating
-        # fit, whose residual can sit far below coefficient noise
+        # a match one period later, on a march through the public stages,
+        # barely moves (C, D); the floor term covers the integration error
+        # of the two marches, far above the match's residual
         for (d, mu, alpha, l) in [(3, 1.0, 1.0, 1), (2, 0.5, 4.0, 2)]:
             ch = _channel(d, mu, alpha, l)
-            sample, fit = solve_channel(ch)
-            shifted = (_radius_at(ch, fit.theta_lo + 2.0 * math.pi), fit.r_hi)
-            fit2 = extract_phase_amplitude(ch, sample, shifted)
+            _, fit = solve_channel(ch)
+            theta_lo = fit.theta_lo + 2.0 * math.pi
+            window = (theta_lo, theta_lo + 2.0 * math.pi)
+            fit2 = _window_fit(ch, window, tol=default_rtol(window[1]))
             c = fit.phase_amplitude.amplitude_C
             allowance = max(10.0 * fit.residual_rms, 1e-9 * c)
             assert abs(fit2.phase_amplitude.amplitude_C - c) <= allowance
@@ -456,12 +489,38 @@ class TestPipeline:
         # the default window sits near the turning point, where the series
         # is least accurate; its (C, D) must match a fit on a later window
         # [5 nu_tilde, 10 nu_tilde] (at least [40, 80], past the default
-        # window's end 20 + 6 pi) at tol = 1e-11
+        # window's end 20 + 2 pi) at tol = 1e-11
         ch = _channel(d, mu, alpha, l)
         _, fit = solve_channel(ch)
         theta_lo = max(40.0, 5.0 * ch.nu_tilde)
         ref = _window_fit(ch, (theta_lo, 2.0 * theta_lo), tol=1e-11)
         assert ref.theta_lo > fit.theta_hi     # the windows do not overlap
+        _assert_same_tail(fit, ref)
+
+    @REFERENCE_CHANNELS
+    def test_condition_number_is_that_of_the_basis_matrix(self, d, mu, alpha, l):
+        # numpy's cond is only the oracle: the basis matrix
+        # [[u1, u2], [u1', u2']] at the match point, u1 = Y^(1/2) sin Phi and
+        # u2 = Y^(1/2) cos Phi, with Y' = -y'/y^2 for y = 1/Y
+        ch = _channel(d, mu, alpha, l)
+        _, fit = solve_channel(ch)
+        env, phi, y, dy, _ = _kummer_at(ch.nu_tilde, ch.b * fit.r_lo ** ch.sigma)
+        g, root = -dy / (2.0 * y), math.sqrt(env)
+        u1, u2 = root * math.sin(phi), root * math.cos(phi)
+        basis = np.array([[u1, u2], [g * u1 + math.cos(phi) / root,
+                                     g * u2 - math.sin(phi) / root]])
+        assert fit.condition_number == pytest.approx(np.linalg.cond(basis),
+                                                     rel=1e-12)
+
+    @pytest.mark.parametrize("d, mu, alpha, l", [(2, 1.0, 0.5, 0), (2, 1.9, 1.0, 6)])
+    def test_one_period_window_from_the_inverse_map(self, d, mu, alpha, l):
+        # on these channels the round trip theta -> r -> theta leaves the
+        # one-period window a few ulps short, which the length check allows
+        ch = _channel(d, mu, alpha, l)
+        theta_lo = default_theta_window(ch)[0]
+        fit = _window_fit(ch, (theta_lo, theta_lo + 2.0 * math.pi), tol=1e-10)
+        assert fit.theta_hi - fit.theta_lo < 2.0 * math.pi
+        _, ref = solve_channel(ch)
         _assert_same_tail(fit, ref)
 
     def test_window_inside_turning_point_rejected(self):
@@ -602,17 +661,17 @@ class TestCost:
     def test_steps_grow_linearly_in_nu_tilde(self, d, alpha, l_30, l_150):
         # mu = 1.9: nu_tilde = 30 at l_30 and 150 at l_150; linear growth
         # gives a step ratio near 5, quadratic growth 25. (5, 1.9, 0.5, 6)
-        # is the sweep's hardest channel: 3,783 steps, the Riccati march
-        # to 0.95 nu_tilde and the linear one to the end of the three
-        # periods from theta = 1.5 nu_tilde (the linear march alone from
-        # the seed takes 14,391).
+        # is the sweep's hardest channel: 3,482 steps, the Riccati march
+        # to 0.95 nu_tilde and the linear one to the end of the one period
+        # from theta = 1.5 nu_tilde (the linear march alone from the seed
+        # takes 14,090).
         steps = []
         for l in (l_30, l_150):
             ch = _channel(d, 1.9, alpha, l)
             sample, _ = solve_channel(ch)
             steps.append(sample.n_steps)
         assert ch.nu_tilde == pytest.approx(150.0)
-        assert steps[1] <= 4_000
+        assert steps[1] <= 3_600
         assert steps[1] / steps[0] <= 8.0
 
 
