@@ -24,13 +24,13 @@ in theta^(-2) has a one-term recurrence in q alone, so no Bessel algebra
 enters; it holds to rounding from theta = 1.5 nu_tilde out, and
 Phi - theta -> 0 carries (C, D) to infinity analytically. The two have
 Wronskian -1, so the state at theta_lo = max(20, 1.5 nu_tilde), past the
-turning point theta = nu_tilde, fixes (C, D); the march stops one period
-later, and that period, sampled at the integrator's own accepted steps,
-only checks the match. The cost grows as nu_tilde, not nu_tilde^2: 3,482
-integrator steps (1,972 Riccati, 1,510 linear) for the hardest sweep
-channel (d = 5, mu = 1.9, alpha = 0.5, l = 6, nu_tilde = 150). Over the
-420-channel verification sweep the match agrees with the closed form to
-1.8e-10 in D and 3.9e-10 in C.
+turning point theta = nu_tilde, where the march lands exactly, fixes
+(C, D); the march stops one period later, and that period, sampled at the
+integrator's own accepted steps, only checks the match. The cost grows as
+nu_tilde, not nu_tilde^2: 3,482 integrator steps (1,972 Riccati, 1,510
+linear) for the hardest sweep channel (d = 5, mu = 1.9, alpha = 0.5,
+l = 6, nu_tilde = 150). Over the 420-channel verification sweep the match
+agrees with the closed form to 1.8e-10 in D and 3.9e-10 in C.
 
 Channels are independent pure computations and may run concurrently.
 """
@@ -88,10 +88,6 @@ class TailFitError(RuntimeError):
     """The tail fit converged but misses its residual tolerance."""
 
 
-def _theta_of(ch: Channel, r):
-    return ch.b * np.asarray(r, dtype=float) ** ch.sigma
-
-
 def _radius_at(ch: Channel, theta: float) -> float:
     try:
         return (theta / ch.b) ** (1.0 / ch.sigma)
@@ -127,7 +123,8 @@ class RadialSolutionSample:
 
 @dataclass(frozen=True, eq=False)
 class TailFit:
-    """Tail (C, D) matched at the window start, with quality diagnostics."""
+    """Tail (C, D) matched at the sample's first state (``r_lo``,
+    ``theta_lo``), with quality diagnostics over the whole sample."""
 
     phase_amplitude: PhaseAmplitude
     residual_rms: float
@@ -166,7 +163,7 @@ def default_theta_window(ch: Channel) -> tuple[float, float]:
 
     Starts at max(20, 1.5 nu_tilde), 1.5 times the turning point
     theta = nu_tilde, from where the fit basis holds to rounding, and spans
-    one period, over which the match is checked (147-245 accepted
+    one period, over which the match is checked (147-246 accepted
     integrator steps on the verification sweep at :func:`default_rtol`).
     The seed sits at theta <= 12 (:func:`default_match_radius`), so the
     window always lies past it.
@@ -265,9 +262,10 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed,
         f'' = ((nu^2 - 1/4)/r^2 - alpha r^(-mu)) f
 
     is marched with a Dormand-Prince 5(4) embedded pair and PI step
-    control. Every accepted state with r >= r_lo is recorded, so the sample
-    is the window at the integrator's own steps; only the last step is
-    shortened, to end exactly at r_hi.
+    control. The steps that would cross r_lo and r_hi are cut to land on
+    them, the march going on past r_lo at the step it had, and every state
+    from r_lo on is recorded: the sample is the window at the integrator's
+    own accepted steps, from exactly r_lo to exactly r_hi.
 
     Parameters
     ----------
@@ -338,10 +336,11 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed,
     n_rej = 0
     max_err = 0.0
 
+    end = r_lo if r < r_lo else r_hi    # where a crossing step is cut to land
     while r < r_hi:
-        last = r + h >= r_hi
-        if last:
-            h = r_hi - r
+        landing = r + h >= end
+        if landing:
+            h_free, h = h, end - r
         elif h < r * 5e-15:
             raise IntegrationError("step size underflow", r)
 
@@ -418,13 +417,17 @@ def integrate_radial(ch: Channel, seed: FrobeniusSeed,
             n_steps += 1
             if err > max_err:
                 max_err = err
-            r = r_hi if last else rr
+            r = end if landing else rr
             f = nf
             fp = np_
             k1f = k7f
             k1p = k7p
             if r >= r_lo:
                 out.append((r, f, fp))
+            if landing:
+                # not a step grown from a landing of a few ulps: it underflows
+                h, end = h_free, r_hi
+                continue
             if err > 0.0:
                 fac = 0.9 * err ** -0.14 * errold ** 0.08
             else:
@@ -592,21 +595,21 @@ def _kummer_series(nu_tilde: float, theta_lo: float) -> tuple[list, list]:
     return t, a
 
 
-def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
-                            window: tuple[float, float]) -> TailFit:
+def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample) -> TailFit:
     """Match r^(-mu/4) f to the Kummer-phase basis of theta = b r^sigma.
 
-    In theta, u = r^(-mu/4) f solves u'' + q u = 0 with
+    The sample is the window from theta_lo to theta_hi. In theta,
+    u = r^(-mu/4) f solves u'' + q u = 0 with
     q = 1 - (nu_tilde^2 - 1/4)/theta^2, whose solutions are exactly
     u = C Y^(1/2) sin(Phi + D), Y = 1/Phi' the squared envelope and
     Phi = theta - sum_{k>=1} a_k theta^(1-2k)/(2k-1), so Phi - theta -> 0
-    (``_kummer_series``, scaled at the window start). Y^(1/2) sin Phi and
-    Y^(1/2) cos Phi have Wronskian -1, so with g = Y'/(2Y) the state at the
-    window's first sample gives C sin(Phi + D) = u Y^(-1/2) and
-    C cos(Phi + D) = Y^(1/2) (u' - g u); D is reduced to (-pi, pi]. The
-    rest of the window checks the match: ``residual_rms`` is the rms of
-    u - C Y^(1/2) sin(Phi + D) there, and ``condition_number`` that of the
-    basis matrix [[u1, u2], [u1', u2']] at the match point.
+    (``_kummer_series``, scaled at theta_lo). Y^(1/2) sin Phi and
+    Y^(1/2) cos Phi have Wronskian -1, so with g = Y'/(2Y) the first state,
+    at theta_lo, gives C sin(Phi + D) = u Y^(-1/2) and
+    C cos(Phi + D) = Y^(1/2) (u' - g u); D is reduced to (-pi, pi]. The rest
+    checks the match: ``residual_rms`` is the rms of u - C Y^(1/2) sin(Phi + D)
+    over the sample, and ``condition_number`` that of the basis matrix
+    [[u1, u2], [u1', u2']] at the match point.
 
     Raises
     ------
@@ -618,10 +621,11 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     TailFitError
         Residual RMS above 1e-5 times the matched amplitude.
     """
-    r_lo, r_hi = float(window[0]), float(window[1])
-    if not (0.0 < r_lo < r_hi):
-        raise FitWindowError(f"invalid window {window!r}")
-    theta_lo = float(_theta_of(ch, r_lo))
+    r, f, df = sample.r, sample.f, sample.df
+    if r.size < 10:
+        raise FitWindowError(f"window holds only {r.size} sample points (< 10)")
+    theta = ch.b * r ** ch.sigma
+    theta_lo, theta_hi = float(theta[0]), float(theta[-1])
     # tiny slack, here and on the length: windows often come from theta -> r
     if theta_lo < _MIN_WINDOW_THETA * (1.0 - 1e-9):
         raise FitWindowError(
@@ -634,13 +638,6 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
             f"turning point theta = nu_tilde = {ch.nu_tilde:.3g}; the fit "
             "basis needs theta_lo > nu_tilde"
         )
-    mask = (sample.r >= r_lo) & (sample.r <= r_hi)
-    n_pts = int(np.count_nonzero(mask))
-    r, f, df = sample.r[mask], sample.f[mask], sample.df[mask]
-    if n_pts < 10:
-        raise FitWindowError(f"window holds only {n_pts} sample points (< 10)")
-    theta = _theta_of(ch, r)
-    theta_hi = float(theta[-1])
     if theta_hi < (theta_lo + 2.0 * math.pi) * (1.0 - 1e-9):
         raise FitWindowError(f"window spans {(theta_hi - theta_lo) / (2 * math.pi):.2f}"
                              " oscillation periods (< 1)")
@@ -652,11 +649,11 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     phi = theta - theta * s * np.polyval((np.array(a[1:]) / odd)[::-1], s)
     # the state at the first sample; u' = du/dtheta is formed from f', not
     # f'/f, since the sample may sit at a node of f
-    r0, u0, y0, theta0 = float(r[0]), float(u[0]), float(big_y[0]), float(theta[0])
-    du0 = (r0 ** (1.0 - ch.mu / 4.0) / (ch.sigma * theta0)
+    r0, u0, y0 = float(r[0]), float(u[0]), float(big_y[0])
+    du0 = (r0 ** (1.0 - ch.mu / 4.0) / (ch.sigma * theta_lo)
            * (float(df[0]) - ch.mu * float(f[0]) / (4.0 * r0)))
     j = np.arange(len(t))
-    g = -float(np.dot(j * t, s[0] ** j)) / (theta0 * y0)    # Y'/(2Y)
+    g = -float(np.dot(j * t, s[0] ** j)) / (theta_lo * y0)    # Y'/(2Y)
     sin_part, cos_part = u0 / math.sqrt(y0), math.sqrt(y0) * (du0 - g * u0)
     amplitude = math.hypot(sin_part, cos_part)
     if not 0.0 < amplitude < math.inf:
@@ -674,7 +671,7 @@ def extract_phase_amplitude(ch: Channel, sample: RadialSolutionSample,
     return TailFit(
         phase_amplitude=PhaseAmplitude(amplitude_C=amplitude, phase_D=phase),
         residual_rms=rms, r_lo=r0, r_hi=float(r[-1]), theta_lo=theta_lo,
-        theta_hi=theta_hi, n_points=n_pts,
+        theta_hi=theta_hi, n_points=r.size,
         condition_number=n + math.sqrt(n * n - 1.0))
 
 
@@ -685,11 +682,11 @@ def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
     theta = 0.95 nu_tilde, the forbidden zone up to there is crossed by a
     Riccati march of W = r f'/f and log f, and the linear march restarts
     from f = exp(log f), f' = W f/r; otherwise the linear march starts at
-    the seed. It runs to the end of the fit window from
-    :func:`default_theta_window`, and (C, D) are extracted there. Both
-    marches use :func:`default_rtol` of the window end, and the returned
-    sample's ``n_steps``, ``n_rejected`` and ``max_error_estimate`` cover
-    both.
+    the seed. It lands on the start of the fit window from
+    :func:`default_theta_window`, where (C, D) are matched, and records the
+    window to its end. Both marches use :func:`default_rtol` of the window
+    end, and the returned sample's ``n_steps``, ``n_rejected`` and
+    ``max_error_estimate`` cover both.
     """
     r0 = default_match_radius(ch)
     theta_lo, theta_max = default_theta_window(ch)
@@ -723,7 +720,7 @@ def solve_channel(ch: Channel) -> tuple[RadialSolutionSample, TailFit]:
         sample, n_steps=n_steps + sample.n_steps,
         n_rejected=n_rej + sample.n_rejected,
         max_error_estimate=max(max_err, sample.max_error_estimate))
-    fit = extract_phase_amplitude(ch, sample, r_window)
+    fit = extract_phase_amplitude(ch, sample)
     return sample, fit
 
 

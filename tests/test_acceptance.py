@@ -31,6 +31,7 @@ from zescat import (
     verify_theorem_identity,
 )
 from zescat.cli import EXIT_INVALID, EXIT_OK, EXIT_TOLERANCE, main as cli_main
+from zescat.numeric import _radius_at, default_theta_window
 from zescat.smatrix import apply_s0, eigenvalue_via_multiplier, HarmonicCoefficients
 
 from oracles import bessel_j_series_only, bisect_root
@@ -77,6 +78,9 @@ def sweep():
             "amp_rel_dev": abs(pa.amplitude_C / c_closed - 1.0),
             "variant_ratio": variant_ratio,
             "n_steps": sample.n_steps,
+            "match_at_window_start": (
+                fit.r_lo == _radius_at(ch, default_theta_window(ch)[0])
+                and fit.theta_lo == ch.b * fit.r_lo ** ch.sigma),
         })
     return rows
 
@@ -117,10 +121,17 @@ def test_sweep_accuracy_gate(sweep):
 
 def test_sweep_step_budget(sweep):
     # deterministic cost guard: the Riccati march to 0.95 nu_tilde and the
-    # linear march to one period past 1.5 nu_tilde take 451,689 accepted
-    # steps over the 420 channels
+    # linear march, landing on 1.5 nu_tilde and ending one period past it,
+    # take 451,920 accepted steps over the 420 channels
     total = sum(row["n_steps"] for row in sweep)
     assert total <= 460_000, f"{total} accepted integrator steps (budget 460,000)"
+
+
+def test_sweep_matches_at_the_declared_window_start(sweep):
+    # every channel's match radius is the declared window start, and the
+    # reported theta_lo is that radius' theta
+    missed = [row["channel"] for row in sweep if not row["match_at_window_start"]]
+    assert not missed, f"{len(missed)} channels matched elsewhere, e.g. {missed[0]}"
 
 
 def test_criterion_3_amplitude_constant_reading(sweep):

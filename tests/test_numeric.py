@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestIntegrateRadial:
         seed = frobenius_seed(ch, r0)
         r_window = (_radius_at(ch, 160.0), _radius_at(ch, 320.0))
         sample = integrate_radial(ch, seed, r_window, tol=1e-10)
-        assert sample.r[0] >= r_window[0] > r0
+        assert sample.r[0] == r_window[0] > r0
         assert sample.r[-1] == r_window[1]
         assert np.all(np.diff(sample.r) > 0.0)
         assert sample.n_steps > 0
@@ -174,9 +175,9 @@ class TestIntegrateRadial:
 
     @pytest.mark.parametrize("d, mu, alpha, l", [(3, 1.0, 1.0, 1), (5, 1.9, 0.5, 2)])
     def test_sample_is_the_window_at_accepted_steps(self, d, mu, alpha, l):
-        # the recorded radii rise strictly from r_lo on and end exactly at
-        # r_hi, however the last step falls; a window from the match radius
-        # ends there too
+        # the recorded radii start exactly at r_lo, rise strictly and end
+        # exactly at r_hi, however the steps fall; a window from the match
+        # radius ends there too
         ch = _channel(d, mu, alpha, l)
         r0 = default_match_radius(ch)
         seed = frobenius_seed(ch, r0)
@@ -185,7 +186,7 @@ class TestIntegrateRadial:
         for window in ((r_lo, r_hi), (r_lo, math.nextafter(r_lo, math.inf)),
                        (r0, r_lo)):
             sample = integrate_radial(ch, seed, window, tol=1e-10)
-            assert sample.r[0] >= window[0]
+            assert sample.r[0] == window[0]
             assert np.all(np.diff(sample.r) > 0.0)
             assert sample.r[-1] == window[1]
             assert sample.r.shape == sample.f.shape == sample.df.shape
@@ -198,10 +199,26 @@ class TestIntegrateRadial:
         assert (sample.r[0], sample.f[0], sample.df[0]) == (
             r0, seed.seed_value, seed.seed_derivative)
         later = integrate_radial(ch, seed, (math.nextafter(r0, 1.0), 1.0), tol=1e-10)
-        assert later.r[0] > r0
-        # the same march: the window only chooses what is recorded
-        assert np.array_equal(later.r, sample.r[1:])
-        assert later.n_steps == sample.n_steps
+        # the march lands on r_lo one ulp on and goes on at the step it had,
+        # so the landing costs one step, not an underflowing step size
+        assert later.r[0] == math.nextafter(r0, 1.0)
+        assert later.n_steps == sample.n_steps + 1
+        assert later.r[-1] == 1.0
+        assert later.f[-1] == pytest.approx(sample.f[-1], rel=1e-12)
+
+    def test_rejected_step_is_retried(self):
+        # no sweep channel rejects a step at the default tolerance; this
+        # march at 1e-14 rejects one, and still lands on both window ends
+        # with C to rounding
+        ch = _channel(3, 1.0, 1.0, 1)
+        seed = frobenius_seed(ch, default_match_radius(ch))
+        r_window = tuple(_radius_at(ch, theta) for theta in default_theta_window(ch))
+        sample = integrate_radial(ch, seed, r_window, tol=1e-14)
+        assert sample.n_rejected >= 1
+        assert (sample.r[0], sample.r[-1]) == r_window
+        fit = extract_phase_amplitude(ch, sample)
+        assert fit.phase_amplitude.amplitude_C == pytest.approx(
+            closed_form_amplitude(ch), rel=1e-12)
 
     def test_overflowing_solution_reports_radius(self):
         # a huge index makes the below-barrier growth overflow doubles
@@ -322,13 +339,13 @@ class TestExtractPhaseAmplitude:
     def test_exact_model_recovered(self):
         ch = SINUSOID_CHANNEL
         sample = _synthetic_sample(ch, 3.0, 0.7)
-        fit = extract_phase_amplitude(ch, sample, (sample.r[0], sample.r[-1]))
+        fit = extract_phase_amplitude(ch, sample)
         assert fit.phase_amplitude.amplitude_C == pytest.approx(3.0, abs=1e-12)
         assert fit.phase_amplitude.phase_D == pytest.approx(0.7, abs=1e-12)
         assert fit.residual_rms < 1e-12
         # the squared residual must not overflow at a huge amplitude
         sample = _synthetic_sample(ch, 1e200, 0.7)
-        fit = extract_phase_amplitude(ch, sample, (sample.r[0], sample.r[-1]))
+        fit = extract_phase_amplitude(ch, sample)
         assert fit.phase_amplitude.amplitude_C == pytest.approx(1e200, rel=1e-12)
         assert fit.phase_amplitude.phase_D == pytest.approx(0.7, abs=1e-12)
         assert fit.residual_rms < 1e-12 * 1e200
@@ -336,19 +353,19 @@ class TestExtractPhaseAmplitude:
     def test_window_errors(self):
         ch = SINUSOID_CHANNEL
         sample = _synthetic_sample(ch, 1.0, 0.1)
-        r_of = lambda th: (th / ch.b) ** (1.0 / ch.sigma)
         with pytest.raises(FitWindowError):  # not deep oscillatory
-            extract_phase_amplitude(ch, sample, (r_of(10.0), sample.r[-1]))
+            extract_phase_amplitude(ch, _synthetic_sample(ch, 1.0, 0.1, theta_lo=10.0))
         with pytest.raises(FitWindowError):  # under one period
-            extract_phase_amplitude(ch, sample, (r_of(60.0), r_of(60.0 + 3.0)))
+            extract_phase_amplitude(
+                ch, _synthetic_sample(ch, 1.0, 0.1, periods=3.0 / (2.0 * math.pi)))
         sparse = RadialSolutionSample(
             r=sample.r[::800], f=sample.f[::800], df=sample.df[::800],
             n_steps=0, n_rejected=0, max_error_estimate=0.0)
         with pytest.raises(FitWindowError):  # fewer than 10 points
-            extract_phase_amplitude(ch, sparse, (sample.r[0], sample.r[-1]))
+            extract_phase_amplitude(ch, sparse)
         zero = dataclasses.replace(sample, f=0.0 * sample.f, df=0.0 * sample.df)
         with pytest.raises(FitWindowError):  # the zero state fixes no tail
-            extract_phase_amplitude(ch, zero, (sample.r[0], sample.r[-1]))
+            extract_phase_amplitude(ch, zero)
 
     def test_residual_tolerance_enforced(self):
         ch = SINUSOID_CHANNEL
@@ -356,15 +373,15 @@ class TestExtractPhaseAmplitude:
         rng = np.random.default_rng(11)
         noisy = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-3 * rng.standard_normal(sample.f.shape)))
         with pytest.raises(TailFitError):
-            extract_phase_amplitude(ch, noisy, (sample.r[0], sample.r[-1]))
+            extract_phase_amplitude(ch, noisy)
         # ... and at a tiny amplitude, where the squared residual must not
         # underflow to a vacuous rms of 0
         tiny = dataclasses.replace(noisy, f=noisy.f * 1e-200, df=noisy.df * 1e-200)
         with pytest.raises(TailFitError):
-            extract_phase_amplitude(ch, tiny, (sample.r[0], sample.r[-1]))
+            extract_phase_amplitude(ch, tiny)
         # noise well under the fixed 1e-5 tolerance still fits
         quiet = dataclasses.replace(sample, f=sample.f * (1.0 + 1e-7 * rng.standard_normal(sample.f.shape)))
-        fit = extract_phase_amplitude(ch, quiet, (sample.r[0], sample.r[-1]))
+        fit = extract_phase_amplitude(ch, quiet)
         assert fit.phase_amplitude.amplitude_C == pytest.approx(1.0, rel=1e-5)
 
     def test_derivative_error_enforced(self):
@@ -374,7 +391,7 @@ class TestExtractPhaseAmplitude:
         sample = _synthetic_sample(ch, 1.0, 0.3)
         skewed = dataclasses.replace(sample, df=sample.df * (1.0 + 1e-4))
         with pytest.raises(TailFitError):
-            extract_phase_amplitude(ch, skewed, (sample.r[0], sample.r[-1]))
+            extract_phase_amplitude(ch, skewed)
 
     def test_match_at_a_node(self):
         # a first sample at a node of f, f = 0 exactly: u' comes from f'
@@ -386,8 +403,7 @@ class TestExtractPhaseAmplitude:
         f[0] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = extract_phase_amplitude(ch, dataclasses.replace(sample, f=f),
-                                          (sample.r[0], sample.r[-1]))
+            fit = extract_phase_amplitude(ch, dataclasses.replace(sample, f=f))
         assert fit.phase_amplitude.amplitude_C == pytest.approx(2.0, rel=1e-12)
         assert abs(circular_difference(fit.phase_amplitude.phase_D,
                                        math.pi - 60.0)) <= 1e-12
@@ -406,7 +422,7 @@ def _window_fit(ch, window, tol):
     r0 = default_match_radius(ch)
     r_window = tuple(_radius_at(ch, theta) for theta in window)
     sample = integrate_radial(ch, frobenius_seed(ch, r0), r_window, tol=tol)
-    return extract_phase_amplitude(ch, sample, r_window)
+    return extract_phase_amplitude(ch, sample)
 
 
 def _assert_same_tail(fit, ref):
@@ -447,7 +463,7 @@ class TestPipeline:
         fits = []
         for s in (seed, seed2):
             sample = integrate_radial(ch, s, r_window, tol=1e-11)
-            fits.append(extract_phase_amplitude(ch, sample, r_window))
+            fits.append(extract_phase_amplitude(ch, sample))
         c1, c2 = (f.phase_amplitude.amplitude_C for f in fits)
         d1, d2 = (f.phase_amplitude.phase_D for f in fits)
         assert c2 == pytest.approx(2.0 * c1, rel=1e-10)
@@ -511,6 +527,16 @@ class TestPipeline:
                                      g * u2 - math.sin(phi) / root]])
         assert fit.condition_number == pytest.approx(np.linalg.cond(basis),
                                                      rel=1e-12)
+
+    @REFERENCE_CHANNELS
+    def test_match_at_the_declared_window_start(self, d, mu, alpha, l):
+        # the march lands on the window start, so the match radius is the
+        # declared one and theta_lo is its theta, not the requested theta
+        ch = _channel(d, mu, alpha, l)
+        sample, fit = solve_channel(ch)
+        assert fit.r_lo == sample.r[0] == _radius_at(ch, default_theta_window(ch)[0])
+        assert fit.theta_lo == ch.b * fit.r_lo ** ch.sigma
+        assert fit.theta_hi == ch.b * fit.r_hi ** ch.sigma
 
     @pytest.mark.parametrize("d, mu, alpha, l", [(2, 1.0, 0.5, 0), (2, 1.9, 1.0, 6)])
     def test_one_period_window_from_the_inverse_map(self, d, mu, alpha, l):
@@ -606,8 +632,7 @@ class TestRiccatiMarch:
         sample, fit = solve_channel(ch)
         assert (sample.n_steps, sample.n_rejected) == (ref.n_steps, ref.n_rejected)
         assert np.array_equal(sample.f, ref.f)
-        assert fit.phase_amplitude == extract_phase_amplitude(
-            ch, ref, r_window).phase_amplitude
+        assert fit.phase_amplitude == extract_phase_amplitude(ch, ref).phase_amplitude
 
     @pytest.mark.parametrize("d, mu, alpha, l", [(3, 1.0, 1.0, 80), (3, 1.0, 4.0, 80)])
     def test_deep_forbidden_zone_amplitude(self, d, mu, alpha, l):
@@ -695,3 +720,17 @@ def test_route_independence_imports():
         assert not parts & {"closedform", "specfn", "_kernels", "scipy",
                             "mpmath"}, ast.unparse(node)
     assert from_closedform == {"PhaseAmplitude", "reduce_angle"}
+
+
+def test_package_calls_no_linalg():
+    # static guard: the tail is matched in closed form, so no module of the
+    # package reaches numpy.linalg (and through it LAPACK)
+    for path in sorted(Path(numeric.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "linalg", f"{path.name}: {ast.unparse(node)}"
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                assert not any("linalg" in name.split(".") for name in names), (
+                    f"{path.name}: {ast.unparse(node)}")
